@@ -31,6 +31,7 @@ from .core import (
 )
 from .delta import DocumentEditor, MaintenanceReport
 from .errors import (
+    DuplicateViewError,
     EncodingError,
     PatternError,
     ReproError,
@@ -71,6 +72,7 @@ __all__ = [
     "DocumentEditor",
     "DocumentSchema",
     "EncodedDocument",
+    "DuplicateViewError",
     "EncodingError",
     "MaintenanceReport",
     "FiniteStateTransducer",

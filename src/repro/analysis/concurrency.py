@@ -328,7 +328,7 @@ class ConcurrencyFacts:
                                         step.lineno,
                                         f"re-acquires non-reentrant "
                                         f"lock '{_token_text(token)}' "
-                                        f"already held — guaranteed "
+                                        f"already held — certain "
                                         f"self-deadlock",
                                     )
                                 )
@@ -354,7 +354,7 @@ class ConcurrencyFacts:
                                         f"'{call.name}()' re-acquires "
                                         f"non-reentrant lock "
                                         f"'{_token_text(token)}' "
-                                        f"already held — guaranteed "
+                                        f"already held — certain "
                                         f"self-deadlock",
                                     )
                                 )

@@ -1,38 +1,30 @@
 """Function summaries and the forward-dataflow engine for xmvrlint.
 
 This module is the substrate of the whole-program half of the linter
-(rules L6-L9).  Source files are lowered once into a small, pickleable
+(rules L7-L19).  Source files are lowered once into a small, pickleable
 IR — per-function :class:`Step` trees carrying the calls, state writes
 and raises each statement performs — and every later analysis (call
-graph, effect inference, invalidation guarantees, exception-safety
-windows) runs over that IR, never over raw ASTs.  That split is what
-makes the on-disk fact cache possible: a warm re-lint of an unchanged
-tree deserializes summaries and re-runs only the cheap fixpoints.
+graph, effect inference, lock sets, the derivation-DAG walker) runs
+over that IR, never over raw ASTs.  That split is what makes the
+on-disk fact cache possible: a warm re-lint of an unchanged tree
+deserializes summaries and re-runs only the cheap fixpoints.
 
-Three layers live here:
+Two layers live here:
 
 * **IR + extraction** — :class:`CallRef`, :class:`WriteRef`,
   :class:`Step`, :class:`FunctionSummary`, :class:`FileSummary` and
-  :func:`summarize_module`.  Extraction performs a *local freshness*
-  analysis: a name every one of whose assignments is a freshly
-  constructed value (a literal, a comprehension, a ``cls(...)`` or
-  CamelCase constructor call) provably refers to an object created
-  inside the function, so writes through it cannot stale any cache
-  that predates the call.  This is the analysis that proves
-  ``MaterializedViewSystem.reopen`` safe without a suppression.
+  :func:`summarize_module`, plus the ``#: guarded-by:`` / ``#: lock:``
+  / ``#: state:`` annotation records.  Extraction performs a *local
+  freshness* analysis: a name every one of whose assignments is a
+  freshly constructed value (a literal, a comprehension, a
+  ``cls(...)`` or CamelCase constructor call) provably refers to an
+  object created inside the function, so writes through it cannot
+  stale any cache that predates the call.  This is the analysis that
+  proves ``MaterializedViewSystem.reopen`` safe without a suppression.
 * **Generic solvers** — :func:`solve_fixpoint` (chaotic-iteration
   worklist over a monotone transfer function) and :func:`reachable`
-  (graph reachability), shared by the call-graph and effect passes.
-* **Guarantee scan** — :func:`scan_guarantee`, the abstract
-  interpretation of a statement block ported from rule L1 onto the IR:
-  does every normal exit path perform an "establishing" call?  Branch
-  states merge at ``if``/``else``, loops are assumed to run zero
-  times, ``finally`` propagates, ``raise`` exits are exempt.
-
-The answering-state tables (which classes, attributes and methods
-constitute "state the plan cache depends on") also live here so that
-the per-file rule L1 and the whole-program passes share one
-definition without an import cycle.
+  (graph reachability), shared by the call-graph, effect, lock and
+  derivation passes.
 """
 
 from __future__ import annotations
@@ -41,7 +33,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 __all__ = [
@@ -56,53 +48,13 @@ __all__ = [
     "FunctionSummary",
     "ImportRec",
     "FileSummary",
-    "STATE_CLASSES",
-    "SYSTEM_CHAINS",
-    "STATE_ATTRS",
-    "DOCUMENT_ATTRS",
-    "DOCUMENT_CHAINS",
-    "FRAGMENT_METHODS",
-    "VFILTER_METHODS",
-    "LIST_METHODS",
-    "DOCUMENT_METHODS",
-    "ANY_RECEIVER_METHODS",
-    "INVALIDATE_SEED",
     "attr_chain",
     "fresh_locals",
     "summarize_module",
     "module_name_for",
     "solve_fixpoint",
     "reachable",
-    "scan_guarantee",
-    "state_writes",
-    "state_call",
 ]
-
-
-# ======================================================================
-# answering-state tables (shared by L1 and the whole-program passes)
-# ======================================================================
-#: Classes whose methods are held to the invalidation discipline.
-STATE_CLASSES = {"MaterializedViewSystem", "XMVRSystem", "DocumentEditor"}
-#: Expressions denoting "the system object" inside those classes.
-SYSTEM_CHAINS = {("self",), ("system",), ("self", "system")}
-#: Expressions denoting "the encoded document".
-DOCUMENT_CHAINS = {("document",)} | {
-    base + ("document",) for base in SYSTEM_CHAINS
-}
-#: System attributes whose (re)assignment is answering-state mutation.
-STATE_ATTRS = {"_views", "_materialized", "vfilter", "fragments"}
-#: Document attributes whose reassignment stales every plan.
-DOCUMENT_ATTRS = {"schema", "fst"}
-#: Mutating methods, keyed by the attribute they are reached through.
-FRAGMENT_METHODS = {"materialize", "materialize_encoded", "drop"}
-VFILTER_METHODS = {"add_view", "add_views"}
-LIST_METHODS = {"append", "remove", "clear", "extend", "pop", "insert"}
-DOCUMENT_METHODS = {"invalidate"}
-#: Tree-surgery calls that mutate the base document on any receiver.
-ANY_RECEIVER_METHODS = {"detach", "add_child"}
-#: The call every mutation must be covered by.
-INVALIDATE_SEED = "_invalidate_plans"
 
 
 # ======================================================================
@@ -1188,121 +1140,3 @@ def reachable(
         seen.add(node)
         stack.extend(graph.get(node, ()))
     return seen
-
-
-# ======================================================================
-# answering-state predicates over the IR
-# ======================================================================
-def state_writes(step: Step) -> tuple[WriteRef, ...]:
-    """The writes of ``step`` that mutate answering state (fresh
-    receivers are exempt: a freshly constructed system has an empty
-    plan cache, so writes through it cannot stale anything)."""
-    hits: list[WriteRef] = []
-    for write in step.writes:
-        if write.fresh:
-            continue
-        if write.base in SYSTEM_CHAINS and write.attr in STATE_ATTRS:
-            hits.append(write)
-        elif write.base in DOCUMENT_CHAINS and write.attr in DOCUMENT_ATTRS:
-            hits.append(write)
-    return tuple(hits)
-
-
-def state_call(call: CallRef, allow_any_receiver: bool = True) -> bool:
-    """Does this call site mutate answering state per the L1 tables?
-
-    ``allow_any_receiver`` gates the ``detach`` / ``add_child`` family:
-    inside the watched classes (and the core layer) tree surgery on any
-    receiver touches the live document, but in the construction layers
-    the same calls build fresh trees and are harmless.
-    """
-    if call.name in ANY_RECEIVER_METHODS:
-        return allow_any_receiver
-    if call.receiver_fresh:
-        return False
-    chain = call.chain
-    if call.name in DOCUMENT_METHODS and call.receiver in DOCUMENT_CHAINS:
-        return True
-    if len(chain) >= 3 and chain[:-2] in SYSTEM_CHAINS:
-        holder = chain[-2]
-        if holder == "fragments" and call.name in FRAGMENT_METHODS:
-            return True
-        if holder == "vfilter" and call.name in VFILTER_METHODS:
-            return True
-        if holder == "_materialized" and call.name in LIST_METHODS:
-            return True
-    return False
-
-
-def step_mutates_state(step: Step) -> bool:
-    """This single step writes answering state (writes or calls)."""
-    if state_writes(step):
-        return True
-    return any(state_call(call) for call in step.calls)
-
-
-# ======================================================================
-# guarantee scan (L1's abstract interpretation, over the IR)
-# ======================================================================
-@dataclass(slots=True)
-class ScanResult:
-    falls_through: bool
-    called: bool
-    bad: bool
-
-
-def scan_guarantee(
-    steps: tuple[Step, ...],
-    called: bool,
-    establishes: Callable[[CallRef], bool],
-) -> ScanResult:
-    """Does every normal exit path perform an establishing call?
-
-    Port of rule L1's abstract interpretation onto the IR: ``raise``
-    exits are exempt, loops are assumed to run zero times, ``try`` is
-    conservative (never *establishes* the call, but exits inside it
-    are still checked), branch states merge at ``if``.
-    """
-    bad = False
-    for step in steps:
-        if any(establishes(call) for call in step.calls):
-            called = True
-        if step.kind == "return":
-            ok = called or (
-                step.has_value and any(establishes(call) for call in step.calls)
-            )
-            return ScanResult(False, called, bad or not ok)
-        if step.kind == "raise":
-            return ScanResult(False, called, bad)
-        if step.kind == "if":
-            body = scan_guarantee(step.body, called, establishes)
-            orelse = scan_guarantee(step.orelse, called, establishes)
-            bad = bad or body.bad or orelse.bad
-            if not body.falls_through and not orelse.falls_through:
-                return ScanResult(False, called, bad)
-            falling = [
-                result.called
-                for result in (body, orelse)
-                if result.falls_through
-            ]
-            called = bool(falling) and all(falling)
-        elif step.kind == "loop":
-            bad = bad or scan_guarantee(step.body, called, establishes).bad
-            bad = bad or scan_guarantee(step.orelse, called, establishes).bad
-        elif step.kind == "with":
-            inner = scan_guarantee(step.body, called, establishes)
-            bad = bad or inner.bad
-            if not inner.falls_through:
-                return ScanResult(False, called, bad)
-            called = inner.called
-        elif step.kind == "try":
-            bad = bad or scan_guarantee(step.body, called, establishes).bad
-            for handler in step.handlers:
-                bad = bad or scan_guarantee(handler, called, establishes).bad
-            bad = bad or scan_guarantee(step.orelse, called, establishes).bad
-            final = scan_guarantee(step.final, called, establishes)
-            bad = bad or final.bad
-            if not final.falls_through:
-                return ScanResult(False, called, bad)
-            called = final.called
-    return ScanResult(True, called, bad)

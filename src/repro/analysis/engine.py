@@ -10,7 +10,7 @@ Suppressions
 A comment anywhere on a flagged line (for function-level rules: the
 ``def`` line the violation is reported at) disables named rules::
 
-    fits = store.materialize(...)  # xmvrlint: disable=L1 -- justification
+    fits = store.materialize(...)  # xmvrlint: disable=L15 -- justification
 
 ``disable=all`` disables every rule for the line, and
 ``disable-file=L4`` (on any line) disables a rule for the whole file.
@@ -81,7 +81,7 @@ EXIT_ERROR = 2
 
 #: Bump when the cached record layout or any analysis changes shape —
 #: stale cache entries are then simply misses.
-LINT_CACHE_VERSION = 3
+LINT_CACHE_VERSION = 4
 
 #: Fix tag understood by :func:`apply_return_none_fixes`.
 FIX_RETURN_NONE = "add-return-none"
@@ -290,12 +290,14 @@ class ProjectContext:
 
     @property
     def statedeps(self) -> "StateFacts":
-        """Derivation-DAG facts (rules L15-L19), computed lazily and at
-        most once per run."""
+        """Derivation-DAG facts (rules L7 and L15-L19), computed lazily
+        and at most once per run."""
         if self._statedeps is None:
             from .statedeps import analyze_statedeps
 
-            self._statedeps = analyze_statedeps(self.project)
+            self._statedeps = analyze_statedeps(
+                self.project, self.facts.effects
+            )
         return self._statedeps  # type: ignore[return-value]
 
     def location_of(self, fqname: str) -> tuple[str, int]:
@@ -339,7 +341,9 @@ _RANGE = re.compile(r"^([A-Za-z]+)(\d+)-(?:([A-Za-z]+))?(\d+)$")
 
 
 def _expand_selection(items: Iterable[str]) -> list[str]:
-    """Expand ``L1-L9``-style ranges; plain ids pass through."""
+    """Expand ``L1-L9``-style ranges to the registered rules inside
+    their bounds (ids retired from the registry are skipped); plain ids
+    pass through.  A range selecting no rule is an error."""
     expanded: list[str] = []
     for raw in items:
         item = raw.strip().upper()
@@ -357,16 +361,22 @@ def _expand_selection(items: Iterable[str]) -> list[str]:
             )
         if int(low) > int(high):
             raise LintError(f"bad rule range {raw!r}: empty")
-        expanded.extend(
-            f"{prefix}{number}" for number in range(int(low), int(high) + 1)
-        )
+        selected = [
+            f"{prefix}{number}"
+            for number in range(int(low), int(high) + 1)
+            if f"{prefix}{number}" in _REGISTRY
+        ]
+        if not selected:
+            raise LintError(f"rule range {raw!r} selects no known rule")
+        expanded.extend(selected)
     return expanded
 
 
 def all_rules(select: Iterable[str] | None = None) -> list[Rule]:
     """Instantiate registered rules, optionally restricted to ids in
-    ``select`` (plain ids or ``L1-L9`` ranges).  Unknown ids raise
-    :class:`LintError` (exit code 2)."""
+    ``select`` (plain ids or ``L1-L9`` ranges).  Unknown ids, and
+    ranges selecting no registered rule, raise :class:`LintError`
+    (exit code 2)."""
     # Rules live in a sibling module; importing it populates the
     # registry exactly once.
     from . import rules as _rules  # noqa: F401

@@ -64,7 +64,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         dest="select",
         metavar="RULES",
         help="comma-separated rule ids or ranges to run, e.g. "
-        "'L1,L4' or 'L1-L9' (default: all)",
+        "'L2,L4' or 'L1-L19'; a range runs the registered rules "
+        "inside its bounds (default: all)",
     )
     parser.add_argument(
         "--fix",

@@ -1,4 +1,4 @@
-"""Derived-state ownership analysis for xmvrlint (rules L15-L19).
+"""Derived-state ownership analysis for xmvrlint (rules L7, L15-L19).
 
 The GnitzDB-style split the codebase has been converging on since the
 plan cache landed: every field of the answering system is either
@@ -19,21 +19,34 @@ declares what it is derived from and how it is rebuilt via the
 
 From those records this module builds the explicit **derivation DAG**
 over ``(classname, attr)`` tokens and checks it whole-program, on top
-of the PR 6 call-graph/dataflow IR:
+of the call-graph/dataflow IR.  The DAG is the one model of what a
+cache depends on: the plan cache (``PlanCache._entries``) is a strict
+dependent of the system's ``document`` and ``fragments``, and
+``_invalidate_plans()`` is its patch because its body clears or
+scope-invalidates the live cache on every path.
 
 * **L15 — invalidation completeness.**  Any interprocedural write that
   reaches a ``derived-from`` source must, on every non-raising exit
   path of every public entry point, invalidate or patch every strict
-  dependent.  This is the L1 abstract interpretation generalized from
-  ``_invalidate_plans()`` to an arbitrary DAG edge, with the same
-  *monotone* patch semantics L1 documents: one patch of the dependent
+  dependent.  Patching is *monotone*: one patch of the dependent
   anywhere in the call covers every source mutation of that call,
   before or after it (``PathNFA.insert`` nulls ``_compiled`` *first*;
   that is sound because nothing answers from ``_compiled`` mid-call).
+  The one exception is a patch inside a ``try`` body: it covers the
+  writes before it but not writes after the ``try`` statement — a
+  ``try`` marks a region that may be cut short and recovered from, so
+  its patch is no invalidate-first cover for the code that follows.
   Edges marked with a trailing ``?`` (``derived-from=document?``) are
   *weak*: acknowledged provenance that is refreshed by coarser
-  protocols (epoch swap, explicit eviction) and exempt from L15 —
-  they still appear in L16 cycle checks and ``--graph`` output.
+  protocols (epoch swap, explicit eviction) and exempt from L15 and
+  L7 — they still appear in L16 cycle checks and ``--graph`` output.
+* **L7 — exception safety.**  On the same walk, a possibly-raising
+  point (a ``raise``, an I/O or clock call, a resolved callee whose
+  effects may raise) reached while a strict source is dirty is a
+  *mutate-then-raise window*: the exception would leave the dependent
+  derived from state that no longer exists.  Raises inside a ``try``
+  with handlers are caught (the handlers are walked instead); a
+  ``finally`` that patches covers every escape through it.
 * **L16 — DAG shape.**  Derivation must be acyclic; hard state and
   counters may not declare ``derived-from`` (hard state is never
   derived, so a soft→hard edge cannot even be expressed); counters may
@@ -58,17 +71,18 @@ then through bare locals named like a known collaborator
 (``document.schema = ...`` inside the editor dirties
 ``(MaterializedViewSystem, document)``).  Container-mutator calls
 (``.append``/``.clear``/``.put``...) mutate the annotated field they
-are invoked through; calls resolved to project functions contribute
-their callee's summarized (patches-on-all-exits, may-dirty) facts.
-Document surgery (``detach``/``add_child`` inside the maintenance or
-system modules) writes the document token regardless of receiver
-spelling, exactly like L1's seed analysis.
+are invoked through — also when the call resolves to a project method
+(``self.fragments.materialize(...)`` writes ``fragments``); calls
+resolved to project functions contribute their callee's summarized
+facts.  Document surgery (``detach``/``add_child`` inside the
+maintenance or system modules) writes the document token regardless
+of receiver spelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from .callgraph import ATTR_CLASSES, Project
 from .dataflow import (
@@ -79,7 +93,7 @@ from .dataflow import (
     reachable,
     solve_fixpoint,
 )
-from .effects import GENERIC_MUTATORS
+from .effects import GENERIC_MUTATORS, Effect, _call_clock, _call_io
 
 __all__ = [
     "DOC_MODULES",
@@ -88,6 +102,7 @@ __all__ = [
     "FIELD_MUTATORS",
     "LIFECYCLE_NAMES",
     "Edge",
+    "EdgeSummary",
     "StateFacts",
     "analyze_statedeps",
 ]
@@ -97,9 +112,9 @@ Token = tuple[str, str]
 Finding = tuple[str, int, str]
 
 #: Tree-surgery calls that mutate the base document whatever the
-#: receiver is spelled like (``parent.add_child``, ``node.detach``) —
-#: the same seed rule L1 uses, scoped to the modules that own
-#: maintenance so unrelated trees elsewhere do not alias the document.
+#: receiver is spelled like (``parent.add_child``, ``node.detach``),
+#: scoped to the modules that own maintenance so unrelated trees
+#: elsewhere do not alias the document.
 DOC_SURGERY = frozenset({"detach", "add_child"})
 DOC_MODULES = frozenset({"repro.delta.maintenance", "repro.core.system"})
 DOC_TOKEN: Token = ("MaterializedViewSystem", "document")
@@ -140,9 +155,17 @@ class _Mutate:
 
 @dataclass(frozen=True, slots=True)
 class _CallFacts:
-    """A call whose resolved callee's (gpatch, gdirty) facts apply."""
+    """A call whose resolved callee's per-edge summary applies."""
 
     callee: str
+    lineno: int
+
+
+@dataclass(frozen=True, slots=True)
+class _MayRaise:
+    """An unresolved call that may raise (I/O or clock)."""
+
+    name: str
     lineno: int
 
 
@@ -164,20 +187,22 @@ class _PathState:
     ``patched`` — the dependent has been invalidated/patched on this
     path (monotone: covers source writes before *and* after it within
     the same call).  ``dirty`` — the source was written while not
-    patched.  ``line`` — witness line of the first uncovered write.
+    patched.  ``line``/``via`` — witness of the first uncovered write
+    (``via`` names the callee when the write happened inside one).
     """
 
     patched: bool
     dirty: bool
-    line: int
+    line: int = 0
+    via: str = ""
 
-    def mutate_source(self, lineno: int) -> "_PathState":
+    def mutate_source(self, lineno: int, via: str = "") -> "_PathState":
         if self.patched or self.dirty:
             return self
-        return _PathState(False, True, lineno)
+        return _PathState(False, True, lineno, via)
 
     def patch_target(self) -> "_PathState":
-        return _PathState(True, False, self.line)
+        return _PathState(True, False)
 
 
 def _join(
@@ -187,18 +212,263 @@ def _join(
         return b
     if b is None:
         return a
+    witness = a if a.dirty else b
     return _PathState(
         a.patched and b.patched,
         a.dirty or b.dirty,
-        (a.line if a.dirty else 0) or (b.line if b.dirty else 0),
+        witness.line if witness.dirty else 0,
+        witness.via if witness.dirty else "",
     )
 
 
-#: Per-function summary for one edge: (patches dependent on every
-#: non-raising exit, some non-raising exit leaves the source dirty,
-#: witness line).  gpatch ⇒ ¬gdirty by construction of the walker.
-_FnFact = tuple[bool, bool, int]
-_FACT_BOTTOM: _FnFact = (True, False, 0)
+@dataclass(frozen=True, slots=True)
+class EdgeSummary:
+    """One function's summary for one edge, solved by fixpoint.
+
+    ``patches`` — the dependent is patched on every non-raising exit;
+    ``dirties`` — some non-raising exit leaves the source dirty (with
+    ``line``/``via`` as witness); ``raises_unpatched`` — an exception
+    may escape before the function patched the dependent;
+    ``raises_dirty`` — an exception may escape while the function's own
+    source write is still unpatched (a mutate-then-raise window).
+    """
+
+    patches: bool = True
+    dirties: bool = False
+    line: int = 0
+    via: str = ""
+    raises_unpatched: bool = False
+    raises_dirty: bool = False
+
+
+_BOTTOM = EdgeSummary()
+
+
+@dataclass(slots=True)
+class _Raises:
+    """Raise points collected while walking one block."""
+
+    unpatched: bool = False
+    dirty: bool = False
+    #: (lineno, reason) of every mutate-then-raise window
+    windows: list[tuple[int, str]] = field(default_factory=list)
+
+    def absorb(self, other: "_Raises") -> None:
+        self.unpatched = self.unpatched or other.unpatched
+        self.dirty = self.dirty or other.dirty
+        self.windows.extend(other.windows)
+
+
+class _EdgeWalk:
+    """Abstract interpretation of one function body for one edge.
+
+    Tracks ``(patched, dirty)`` per control path (:class:`_PathState`)
+    and the raise points met along the way.  Callees contribute their
+    :class:`EdgeSummary` through ``get``; callees that touch neither
+    end of the edge contribute only whether they may raise.
+    """
+
+    def __init__(
+        self,
+        facts: "StateFacts",
+        fqname: str,
+        edge: Edge,
+        relevant: set[str],
+        get: Callable[[str], EdgeSummary],
+    ) -> None:
+        self.facts = facts
+        self.fqname = fqname
+        self.function = facts.project.functions[fqname]
+        self.edge = edge
+        self.relevant = relevant
+        self.get = get
+        self.exits: list[_PathState] = []
+        self.raises = _Raises()
+
+    def run(self) -> EdgeSummary:
+        fall, _ = self._walk(
+            self.function.steps, _PathState(False, False), self.raises
+        )
+        if fall is not None:
+            self.exits.append(fall)
+        exits = self.exits
+        witness = next((state for state in exits if state.dirty), None)
+        return EdgeSummary(
+            patches=all(state.patched for state in exits),
+            dirties=witness is not None,
+            line=witness.line if witness else 0,
+            via=witness.via if witness else "",
+            raises_unpatched=self.raises.unpatched,
+            raises_dirty=self.raises.dirty,
+        )
+
+    # -- raise points ------------------------------------------------------
+    def _raise_point(
+        self,
+        state: _PathState,
+        lineno: int,
+        what: str,
+        raises: _Raises,
+        callee: EdgeSummary | None = None,
+    ) -> None:
+        """An exception may escape here (a ``raise``, or a call that may
+        raise; ``callee`` is the summary of a call that touches the
+        edge, whose own write may be what is left dirty)."""
+        source, target = _fmt(self.edge.source), _fmt(self.edge.target)
+        may_escape_unpatched = callee is None or callee.raises_unpatched
+        if state.dirty and may_escape_unpatched:
+            raises.dirty = True
+            raises.windows.append(
+                (lineno, f"{what} while {source} is modified and "
+                         f"{target} is not yet invalidated")
+            )
+        elif not state.patched and callee is not None and callee.raises_dirty:
+            raises.dirty = True
+            raises.windows.append(
+                (lineno, f"{what} after modifying {source}, before "
+                         f"{target} is invalidated")
+            )
+        if not state.patched and may_escape_unpatched:
+            raises.unpatched = True
+
+    # -- one step's own events ------------------------------------------
+    def _step(
+        self, step: Step, state: _PathState, raises: _Raises
+    ) -> tuple[_PathState, bool]:
+        """Apply one step's own events; returns (state, may_dirty)."""
+        facts = self.facts
+        edge = self.edge
+        may_dirty = False
+        for event in facts._events(step, self.fqname, self.function):
+            if isinstance(event, _Mutate):
+                if event.token == edge.target:
+                    state = state.patch_target()
+                if event.token == edge.source:
+                    may_dirty = True
+                    state = state.mutate_source(event.lineno)
+            elif isinstance(event, _MayRaise):
+                self._raise_point(
+                    state, event.lineno, f"'{event.name}()' may raise",
+                    raises,
+                )
+            elif isinstance(event, _CallFacts):
+                name = facts.project.functions[event.callee].name
+                if event.callee not in self.relevant:
+                    if facts.may_raise(event.callee):
+                        self._raise_point(
+                            state, event.lineno, f"'{name}()' may raise",
+                            raises,
+                        )
+                    continue
+                summary = self.get(event.callee)
+                self._raise_point(
+                    state, event.lineno, f"'{name}()' may raise", raises,
+                    callee=summary,
+                )
+                if summary.dirties:
+                    may_dirty = True
+                    state = state.mutate_source(event.lineno, name)
+                if summary.patches:
+                    state = state.patch_target()
+        return state, may_dirty
+
+    # -- blocks ------------------------------------------------------------
+    def _walk(
+        self,
+        block: tuple[Step, ...],
+        state: "_PathState | None",
+        raises: _Raises,
+    ) -> tuple["_PathState | None", bool]:
+        """Walk one block; returns (fall-through state or None, any
+        source mutation possible anywhere inside)."""
+        may_dirty = False
+        for step in block:
+            if state is None:
+                break
+            state, step_dirty = self._step(step, state, raises)
+            may_dirty = may_dirty or step_dirty
+            if step.kind == "return":
+                self.exits.append(state)
+                state = None
+            elif step.kind == "raise":
+                self._raise_point(state, step.lineno, "raises", raises)
+                state = None  # exceptional exit: exempt from L15
+            elif step.kind == "if":
+                then_fall, d1 = self._walk(step.body, state, raises)
+                else_fall, d2 = self._walk(step.orelse, state, raises)
+                may_dirty = may_dirty or d1 or d2
+                state = _join(then_fall, else_fall)
+            elif step.kind == "loop":
+                # Two passes: a write late in iteration N is visible to
+                # iteration N+1; zero iterations joins the entry state.
+                once, d1 = self._walk(step.body, state, raises)
+                twice, d2 = self._walk(step.body, _join(state, once), raises)
+                may_dirty = may_dirty or d1 or d2
+                after = _join(state, twice)
+                if step.orelse and after is not None:
+                    after, d3 = self._walk(step.orelse, after, raises)
+                    may_dirty = may_dirty or d3
+                state = after
+            elif step.kind == "with":
+                state, d1 = self._walk(step.body, state, raises)
+                may_dirty = may_dirty or d1
+            elif step.kind == "try":
+                state, d1 = self._walk_try(step, state, raises)
+                may_dirty = may_dirty or d1
+        return state, may_dirty
+
+    def _walk_try(
+        self, step: Step, state: _PathState, raises: _Raises
+    ) -> tuple["_PathState | None", bool]:
+        """``try`` semantics.
+
+        Raise points in the body are caught when the statement has
+        handlers (the handlers are walked instead) and covered when a
+        ``finally`` patches the dependent on every path.  A handler can
+        be entered from any point of the body, so it starts from the
+        entry state plus the body's possible dirt.  A patch inside the
+        body clears the dirt before it but gives no invalidate-first
+        cover to writes *after* the statement: a ``try`` is a region
+        that may be cut short and recovered from.
+        """
+        caught = _Raises()
+        body_fall, body_dirty = self._walk(step.body, state, caught)
+        escaping = _Raises()
+        if not step.handlers:
+            escaping.absorb(caught)
+        handler_entry = _PathState(
+            state.patched,
+            state.dirty or (body_dirty and not state.patched),
+            state.line,
+            state.via,
+        )
+        may_dirty = body_dirty
+        handled: _PathState | None = None
+        for handler in step.handlers:
+            handler_fall, d2 = self._walk(handler, handler_entry, escaping)
+            may_dirty = may_dirty or d2
+            handled = _join(handled, handler_fall)
+        if step.orelse and body_fall is not None:
+            body_fall, d3 = self._walk(step.orelse, body_fall, escaping)
+            may_dirty = may_dirty or d3
+        if not (step.final and self._always_patches(step.final)):
+            raises.absorb(escaping)
+        merged = _join(body_fall, handled)
+        if merged is not None:
+            merged = _PathState(
+                state.patched, merged.dirty, merged.line, merged.via
+            )
+        if step.final and merged is not None:
+            merged, d4 = self._walk(step.final, merged, raises)
+            may_dirty = may_dirty or d4
+        return merged, may_dirty
+
+    def _always_patches(self, block: tuple[Step, ...]) -> bool:
+        exits = self.exits
+        self.exits = []
+        fall, _ = self._walk(block, _PathState(False, False), _Raises())
+        self.exits = exits
+        return fall is not None and fall.patched
 
 
 # ======================================================================
@@ -206,10 +476,13 @@ _FACT_BOTTOM: _FnFact = (True, False, 0)
 # ======================================================================
 @dataclass
 class StateFacts:
-    """Everything the L15-L19 rules need, computed once per project."""
+    """Everything the L7 and L15-L19 rules need, computed once per
+    project."""
 
     project: Project
     relpath_by_module: dict[str, str]
+    #: whole-program effects (for "may this callee raise?")
+    effects: Mapping[str, Effect] = field(default_factory=dict)
     #: annotated fields (kind hard/soft/counter) by token
     fields: dict[Token, StateRec] = field(default_factory=dict)
     #: relpath of the file annotating each token
@@ -231,6 +504,9 @@ class StateFacts:
     _fn_mutated: dict[str, dict[Token, int]] = field(default_factory=dict)
     _reverse_adjacency: dict[str, list[str]] = field(default_factory=dict)
     _lifecycle_fns: set[str] = field(default_factory=set)
+    _solved: dict[Edge, tuple[set[str], dict[str, EdgeSummary]]] = field(
+        default_factory=dict
+    )
 
     # -- construction ----------------------------------------------------
     def __post_init__(self) -> None:
@@ -272,7 +548,7 @@ class StateFacts:
                 for event in self._events(step, fqname, function):
                     if isinstance(event, _Mutate):
                         mutated.setdefault(event.token, event.lineno)
-                    else:
+                    elif isinstance(event, _CallFacts):
                         reverse.setdefault(event.callee, []).append(fqname)
             self._fn_mutated[fqname] = mutated
         self._reverse_adjacency = reverse
@@ -364,23 +640,30 @@ class StateFacts:
             return ()
         return self.field_tokens(receiver, classname)
 
+    def may_raise(self, fqname: str) -> bool:
+        effect = self.effects.get(fqname)
+        return effect is not None and effect.raises
+
     # -- per-step events -------------------------------------------------
     def _events(
         self, step: Step, fqname: str, function: FunctionSummary
     ) -> tuple[object, ...]:
+        """The step's events in evaluation order: its calls first, then
+        its own stores (in ``self.x[k] = f()`` the call raises before
+        the store happens)."""
         cached = self._step_events.get(id(step))
         if cached is not None:
             return cached
         module = self.project.module_of.get(fqname, "")
         classname = function.classname
         events: list[object] = []
+        for call in step.calls:
+            events.extend(self._call_events(call, fqname, module, classname))
         for write in step.writes:
             if write.fresh or write.global_write:
                 continue
             for token in self.field_tokens(write.chain, classname):
                 events.append(_Mutate(token, write.lineno))
-        for call in step.calls:
-            events.extend(self._call_events(call, fqname, module, classname))
         frozen = tuple(events)
         self._step_refs.append(step)
         self._step_events[id(step)] = frozen
@@ -408,13 +691,67 @@ class StateFacts:
         if callee is not None and callee in self.project.functions:
             if self.project.functions[callee].name in _CONSTRUCTION_NAMES:
                 return []
-            return [_CallFacts(callee, call.lineno)]
+            events: list[object] = [_CallFacts(callee, call.lineno)]
+            if call.name in FIELD_MUTATORS:
+                # ``self.fragments.materialize(...)`` mutates the store
+                # held in the annotated field it is invoked through.
+                events.extend(
+                    _Mutate(token, call.lineno)
+                    for token in self.field_tokens(call.receiver, classname)
+                )
+            return events
+        events = []
+        imports = self.project.imports_of.get(module, {})
+        if _call_io(call, imports) or _call_clock(call, imports):
+            events.append(_MayRaise(".".join(call.chain), call.lineno))
         if call.name in FIELD_MUTATORS:
-            return [
+            events.extend(
                 _Mutate(token, call.lineno)
                 for token in self._receiver_tokens(call.receiver, classname)
-            ]
-        return []
+            )
+        return events
+
+    # ==================================================================
+    # the per-edge fixpoint shared by L15 and L7
+    # ==================================================================
+    def _solve(self, edge: Edge) -> tuple[set[str], dict[str, EdgeSummary]]:
+        cached = self._solved.get(edge)
+        if cached is not None:
+            return cached
+        involved = {
+            fqname
+            for fqname, mutated in self._fn_mutated.items()
+            if edge.source in mutated or edge.target in mutated
+        }
+        relevant = reachable(self._reverse_adjacency, involved)
+        summaries = solve_fixpoint(
+            sorted(relevant),
+            _BOTTOM,
+            lambda fqname, get: _EdgeWalk(
+                self, fqname, edge, relevant, get
+            ).run(),
+        )
+        self._solved[edge] = (relevant, summaries)
+        return relevant, summaries
+
+    def edge_summaries(self, edge: Edge) -> dict[str, EdgeSummary]:
+        """Per-function summaries of every function that can touch
+        ``edge`` (directly or through a callee)."""
+        return self._solve(edge)[1]
+
+    def is_entry_point(self, fqname: str) -> bool:
+        """Functions held to L15 and L7: public, not a lifecycle
+        method, not nested in another function."""
+        function = self.project.functions[fqname]
+        return (
+            function.is_public
+            and function.name not in LIFECYCLE_NAMES
+            and "<locals>" not in function.qualname
+        )
+
+    def _location(self, fqname: str) -> str:
+        module = self.project.module_of.get(fqname, "")
+        return self.relpath_by_module.get(module, module)
 
     # ==================================================================
     # L15 — invalidation completeness, per strict edge
@@ -424,203 +761,54 @@ class StateFacts:
         for edge in self.edges:
             if edge.weak:
                 continue
-            findings.extend(self._check_edge(edge))
+            relevant, summaries = self._solve(edge)
+            for fqname in sorted(relevant):
+                summary = summaries[fqname]
+                if not summary.dirties or not self.is_entry_point(fqname):
+                    continue
+                function = self.project.functions[fqname]
+                line = summary.line or function.lineno
+                via = f" via {summary.via}()" if summary.via else ""
+                findings.append(
+                    (
+                        self._location(fqname),
+                        line,
+                        f"{function.qualname} (line {function.lineno}) can "
+                        f"exit with {_fmt(edge.source)} modified (line "
+                        f"{line}{via}) but {_fmt(edge.target)} neither "
+                        f"invalidated nor patched [derived-from edge at "
+                        f"{edge.relpath}:{edge.lineno}]",
+                    )
+                )
         return sorted(set(findings))
 
-    def _check_edge(self, edge: Edge) -> list[Finding]:
-        involved = {
-            fqname
-            for fqname, mutated in self._fn_mutated.items()
-            if edge.source in mutated or edge.target in mutated
-        }
-        if not involved:
-            return []
-        relevant = reachable(self._reverse_adjacency, involved)
-        facts = solve_fixpoint(
-            sorted(relevant),
-            _FACT_BOTTOM,
-            lambda fqname, get: self._transfer(fqname, edge, relevant, get),
-        )
+    # ==================================================================
+    # L7 — exception safety of mutation windows, per strict edge
+    # ==================================================================
+    def window_violations(self) -> list[Finding]:
         findings: list[Finding] = []
-        for fqname in sorted(relevant):
-            function = self.project.functions[fqname]
-            if not function.is_public:
+        for edge in self.edges:
+            if edge.weak:
                 continue
-            if function.name in LIFECYCLE_NAMES:
-                continue
-            if "<locals>" in function.qualname:
-                continue
-            _, gdirty, line = facts[fqname]
-            if not gdirty:
-                continue
-            module = self.project.module_of.get(fqname, "")
-            relpath = self.relpath_by_module.get(module, module)
-            findings.append(
-                (
-                    relpath,
-                    line or function.lineno,
-                    f"{function.qualname} (line {function.lineno}) can "
-                    f"exit with {_fmt(edge.source)} modified (line "
-                    f"{line or function.lineno}) but "
-                    f"{_fmt(edge.target)} neither invalidated nor patched "
-                    f"[derived-from edge at {edge.relpath}:{edge.lineno}]",
-                )
-            )
-        return findings
-
-    def _transfer(
-        self,
-        fqname: str,
-        edge: Edge,
-        relevant: set[str],
-        get: Callable[[str], _FnFact],
-    ) -> _FnFact:
-        function = self.project.functions.get(fqname)
-        if function is None:
-            return _FACT_BOTTOM
-        exits: list[_PathState] = []
-        entry = _PathState(False, False, 0)
-
-        fall, _ = self._walk_block(
-            function.steps, entry, fqname, function, edge, relevant, get, exits
-        )
-        if fall is not None:
-            exits.append(fall)
-        if not exits:
-            return _FACT_BOTTOM  # every path raises: vacuously covered
-        gpatch = all(state.patched for state in exits)
-        gdirty = any(state.dirty for state in exits)
-        line = next((s.line for s in exits if s.dirty), 0)
-        return (gpatch, gdirty, line)
-
-    def _apply_events(
-        self,
-        step: Step,
-        state: _PathState,
-        fqname: str,
-        function: FunctionSummary,
-        edge: Edge,
-        relevant: set[str],
-        get: Callable[[str], _FnFact],
-    ) -> tuple[_PathState, bool]:
-        """Apply one step's own events; returns (state, may_dirty)."""
-        may_dirty = False
-        for event in self._events(step, fqname, function):
-            if isinstance(event, _Mutate):
-                if event.token == edge.target:
-                    state = state.patch_target()
-                if event.token == edge.source:
-                    may_dirty = True
-                    state = state.mutate_source(event.lineno)
-            elif isinstance(event, _CallFacts):
-                if event.callee not in relevant:
+            relevant, summaries = self._solve(edge)
+            for fqname in sorted(relevant):
+                if not self.is_entry_point(fqname):
                     continue
-                gpatch, gdirty, _ = get(event.callee)
-                if gdirty:
-                    may_dirty = True
-                    state = state.mutate_source(event.lineno)
-                if gpatch:
-                    state = state.patch_target()
-        return state, may_dirty
-
-    def _walk_block(
-        self,
-        block: tuple[Step, ...],
-        state: "_PathState | None",
-        fqname: str,
-        function: FunctionSummary,
-        edge: Edge,
-        relevant: set[str],
-        get: Callable[[str], _FnFact],
-        exits: list[_PathState],
-    ) -> tuple["_PathState | None", bool]:
-        """Walk one block; returns (fall-through state or None, any
-        source mutation possible anywhere inside)."""
-        may_dirty = False
-        for step in block:
-            if state is None:
-                break
-            state, step_dirty = self._apply_events(
-                step, state, fqname, function, edge, relevant, get
-            )
-            may_dirty = may_dirty or step_dirty
-            if step.kind == "return":
-                exits.append(state)
-                state = None
-            elif step.kind == "raise":
-                state = None  # exceptional exit: exempt
-            elif step.kind == "if":
-                then_fall, d1 = self._walk_block(
-                    step.body, state, fqname, function, edge, relevant, get,
-                    exits,
+                walk = _EdgeWalk(
+                    self, fqname, edge, relevant, summaries.__getitem__
                 )
-                else_fall, d2 = self._walk_block(
-                    step.orelse, state, fqname, function, edge, relevant, get,
-                    exits,
-                )
-                may_dirty = may_dirty or d1 or d2
-                state = _join(then_fall, else_fall)
-            elif step.kind == "loop":
-                once, d1 = self._walk_block(
-                    step.body, state, fqname, function, edge, relevant, get,
-                    exits,
-                )
-                joined = _join(state, once)
-                twice, d2 = self._walk_block(
-                    step.body, joined, fqname, function, edge, relevant, get,
-                    exits,
-                )
-                may_dirty = may_dirty or d1 or d2
-                after = _join(state, twice)
-                if step.orelse and after is not None:
-                    after, d3 = self._walk_block(
-                        step.orelse, after, fqname, function, edge, relevant,
-                        get, exits,
+                walk.run()
+                function = self.project.functions[fqname]
+                for lineno, reason in walk.raises.windows:
+                    findings.append(
+                        (
+                            self._location(fqname),
+                            lineno,
+                            f"{function.qualname}: {reason} (stale "
+                            f"{_fmt(edge.target)} on the error path)",
+                        )
                     )
-                    may_dirty = may_dirty or d3
-                state = after
-            elif step.kind == "with":
-                state, d1 = self._walk_block(
-                    step.body, state, fqname, function, edge, relevant, get,
-                    exits,
-                )
-                may_dirty = may_dirty or d1
-            elif step.kind == "try":
-                body_fall, body_dirty = self._walk_block(
-                    step.body, state, fqname, function, edge, relevant, get,
-                    exits,
-                )
-                may_dirty = may_dirty or body_dirty
-                # A handler can be entered from any point of the body:
-                # conservatively, with the body's possible dirt.
-                handler_entry = _PathState(
-                    state.patched,
-                    state.dirty or (body_dirty and not state.patched),
-                    state.line,
-                )
-                handler_merged: _PathState | None = None
-                for handler in step.handlers:
-                    handler_fall, d2 = self._walk_block(
-                        handler, handler_entry, fqname, function, edge,
-                        relevant, get, exits,
-                    )
-                    may_dirty = may_dirty or d2
-                    handler_merged = _join(handler_merged, handler_fall)
-                if step.orelse and body_fall is not None:
-                    body_fall, d3 = self._walk_block(
-                        step.orelse, body_fall, fqname, function, edge,
-                        relevant, get, exits,
-                    )
-                    may_dirty = may_dirty or d3
-                merged = _join(body_fall, handler_merged)
-                if step.final and merged is not None:
-                    merged, d4 = self._walk_block(
-                        step.final, merged, fqname, function, edge, relevant,
-                        get, exits,
-                    )
-                    may_dirty = may_dirty or d4
-                state = merged
-        return state, may_dirty
+        return sorted(set(findings))
 
     # ==================================================================
     # L16 — DAG shape
@@ -881,9 +1069,17 @@ def _fmt(token: Token) -> str:
     return f"{token[0]}.{token[1]}"
 
 
-def analyze_statedeps(project: Project) -> StateFacts:
-    """Build the derivation DAG and per-function facts for a project."""
+def analyze_statedeps(
+    project: Project, effects: Mapping[str, Effect] | None = None
+) -> StateFacts:
+    """Build the derivation DAG and per-function facts for a project;
+    ``effects`` (from :func:`repro.analysis.effects.analyze`) tells L7
+    which calls outside an edge may raise."""
     relpath_by_module = {
         summary.module: relpath for relpath, summary in project.files.items()
     }
-    return StateFacts(project=project, relpath_by_module=relpath_by_module)
+    return StateFacts(
+        project=project,
+        relpath_by_module=relpath_by_module,
+        effects=effects or {},
+    )

@@ -158,7 +158,7 @@ class PlanCache:
     def __init__(self, maxsize: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
         self.maxsize = maxsize  #: state: hard
         #: guarded-by: _lock
-        #: state: soft(derived-from=MaterializedViewSystem.document; rebuild=_derive_selection)
+        #: state: soft(derived-from=MaterializedViewSystem.document, MaterializedViewSystem.fragments; rebuild=_derive_selection)
         self._entries: OrderedDict[tuple[str, str], PlanEntry] = OrderedDict()
         # Dependency index for scoped invalidation, kept in lockstep
         # with _entries (weak edges: the index is bookkeeping over the

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import contracts
-from ..errors import ViewNotAnswerableError
+from ..errors import DuplicateViewError, ViewNotAnswerableError
 from ..obs import Telemetry, current_trace
 from ..matching.evaluate import evaluate
 from ..storage.fragments import DEFAULT_FRAGMENT_CAP, FragmentStore
@@ -375,7 +375,7 @@ class MaterializedViewSystem:
             view = View.from_xpath(view_id, expression)
         with self._mutate_lock:
             if view.view_id in self._views:
-                raise ValueError(f"duplicate view id {view_id!r}")
+                raise DuplicateViewError(f"duplicate view id {view_id!r}")
             answers = evaluate(view.pattern, self.document.tree)
             entries = [
                 (node.dewey, node)
@@ -475,7 +475,7 @@ class MaterializedViewSystem:
             else:
                 view = View.from_xpath(view_id, expression)
             if view.view_id in self._views:
-                raise ValueError(f"duplicate view id {view_id!r}")
+                raise DuplicateViewError(f"duplicate view id {view_id!r}")
             prepared.append(view)
         return prepared
 
@@ -485,7 +485,7 @@ class MaterializedViewSystem:
         # Invalidate up front: one drop covers the whole batch (the
         # cache refills only via answer()), and a failure mid-batch
         # cannot leave plans derived from the pre-registration state
-        # (xmvrlint L1/L7).  Each admission publishes its own epoch, so
+        # (xmvrlint L15/L7).  Each admission publishes its own epoch, so
         # a mid-batch failure leaves every fully admitted view visible
         # and nothing half-registered.
         with self._mutate_lock:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import DuplicateViewError
 from ..obs import current_trace
 from ..storage.kvstore import KVStore
 from ..storage.serialize import encode_text, encode_varint
@@ -87,7 +88,7 @@ class VFilter:
     def add_view(self, view: View) -> None:
         """Insert a view's (already normalized) path patterns."""
         if view.view_id in self._views:
-            raise ValueError(f"duplicate view id {view.view_id!r}")
+            raise DuplicateViewError(f"duplicate view id {view.view_id!r}")
         self._views[view.view_id] = view
         self._order_index[view.view_id] = len(self._order)
         self._order.append(view.view_id)

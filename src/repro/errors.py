@@ -75,6 +75,15 @@ class ViewNotAnswerableError(ReproError):
         )
 
 
+class DuplicateViewError(ReproError, ValueError):
+    """Raised when registering a view id that is already registered.
+
+    Also a :class:`ValueError`, which is what registration raised before
+    the error was typed, so existing ``except ValueError`` callers keep
+    working.
+    """
+
+
 class RewritingError(ReproError):
     """Raised when rewriting fails despite a positive answerability check.
 

@@ -8,7 +8,7 @@ sockets.  Status mapping:
 :class:`ProtocolError` (malformed body)   400
 :class:`~repro.errors.XPathSyntaxError`   400
 :class:`~repro.errors.PatternError`       400
-duplicate view id (``ValueError``)        409
+duplicate view id (``DuplicateViewError``)  409
 ``ViewNotAnswerableError``                422
 :class:`AdmissionRejectedError`           503 (+ ``Retry-After``)
 :class:`DeadlineExceededError`            504 (+ ``Retry-After``)
@@ -24,6 +24,7 @@ from typing import Any
 
 from ..core.system import AnswerOutcome
 from ..errors import (
+    DuplicateViewError,
     EncodingError,
     PatternError,
     ReproError,
@@ -195,7 +196,7 @@ def error_payload(
         retry_after = max(error.retry_after, 0.01)
         headers["Retry-After"] = f"{retry_after:.3f}"
         body["retry_after"] = retry_after
-    elif isinstance(error, ValueError) and "duplicate view id" in str(error):
+    elif isinstance(error, DuplicateViewError):
         status = 409
     elif isinstance(error, (ValueError, EncodingError)):
         # Edit-path caller errors: unknown Dewey code, root deletion,

@@ -302,6 +302,12 @@ class KVStore:
                 for key, value in entries:
                     assert value is not None
                     temp.write(self._frame(_FLAG_PUT, key, value))
+            # Invalidate-first: the index and length describe the old
+            # log, so a failure reopening or re-scanning the new one must
+            # not leave them pointing into it.
+            self._index.clear()
+            self._live_bytes = 0
+            self._length = 0
             self._handle.close()
             os.replace(temp_path, self.path)
             self._handle = open(self.path, "a+b")

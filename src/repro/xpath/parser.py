@@ -28,7 +28,20 @@ from ..errors import XPathSyntaxError
 from .ast import Axis, AttributeConstraint, WILDCARD
 from .pattern import PatternNode, TreePattern
 
-__all__ = ["parse_xpath", "parse_path", "parse_cache_info", "parse_cache_clear"]
+__all__ = [
+    "MAX_PATTERN_DEPTH",
+    "parse_xpath",
+    "parse_path",
+    "parse_cache_info",
+    "parse_cache_clear",
+]
+
+#: Deepest accepted pattern, in steps from the root to any node
+#: (predicate nesting counts).  The parser and the pattern algorithms
+#: downstream recurse once per level; past this depth an expression is
+#: rejected with :class:`~repro.errors.XPathSyntaxError` instead of
+#: exhausting the interpreter stack.
+MAX_PATTERN_DEPTH = 256
 
 #: Bounded LRU over raw expression strings.  The answering hot path
 #: re-parses identical query strings constantly; parsing dominates the
@@ -133,8 +146,9 @@ def _parse_attribute_test(scanner: _Scanner) -> AttributeConstraint:
     return AttributeConstraint(name)
 
 
-def _parse_predicate(scanner: _Scanner, host: PatternNode) -> None:
-    """Parse one ``[...]`` predicate and attach it to ``host``."""
+def _parse_predicate(scanner: _Scanner, host: PatternNode, depth: int) -> None:
+    """Parse one ``[...]`` predicate and attach it to ``host`` (which
+    sits at ``depth``)."""
     scanner.expect("[")
     if scanner.peek("@"):
         constraint = _parse_attribute_test(scanner)
@@ -155,22 +169,30 @@ def _parse_predicate(scanner: _Scanner, host: PatternNode) -> None:
             # [//b] and [/b] are accepted as spellings of [.//b], [./b].
             leading_axis = axis
 
-    node = _parse_step(scanner, host, leading_axis)
+    node = _parse_step(scanner, host, leading_axis, depth + 1)
     while True:
         axis = _parse_axis(scanner)
         if axis is None:
             break
-        node = _parse_step(scanner, node, axis)
+        depth += 1
+        node = _parse_step(scanner, node, axis, depth + 1)
     scanner.expect("]")
 
 
-def _parse_step(scanner: _Scanner, parent: PatternNode | None, axis: Axis) -> PatternNode:
+def _parse_step(
+    scanner: _Scanner, parent: PatternNode | None, axis: Axis, depth: int
+) -> PatternNode:
+    """Parse one step at ``depth`` (the root step is at depth 1)."""
+    if depth > MAX_PATTERN_DEPTH:
+        raise scanner.fail(
+            f"pattern deeper than {MAX_PATTERN_DEPTH} steps"
+        )
     label = _parse_nametest(scanner)
     node = PatternNode(label, axis)
     if parent is not None:
         parent.add_child(node)
     while scanner.peek("["):
-        _parse_predicate(scanner, node)
+        _parse_predicate(scanner, node, depth)
     return node
 
 
@@ -211,13 +233,15 @@ def _parse_cached(expression: str) -> TreePattern:
         # Paper-style abbreviation: "s[t]/p" denotes a pattern anchored
         # anywhere, i.e. //s[t]/p.
         axis = Axis.DESCENDANT
-    node = _parse_step(scanner, None, axis)
+    depth = 1
+    node = _parse_step(scanner, None, axis, depth)
     root = node
     while True:
         next_axis = _parse_axis(scanner)
         if next_axis is None:
             break
-        node = _parse_step(scanner, node, next_axis)
+        depth += 1
+        node = _parse_step(scanner, node, next_axis, depth)
     if not scanner.eof():
         raise scanner.fail("unexpected trailing input")
     return TreePattern(root, node)

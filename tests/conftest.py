@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-# Runtime contract checks (repro.analysis.contracts) are on for the
+# Runtime contract checks (repro.core.contracts) are on for the
 # whole suite unless a test or the environment says otherwise.
 os.environ.setdefault("XMVR_CHECK", "1")
 
@@ -121,3 +121,34 @@ def brute_force_answers(pattern: TreePattern, tree: XMLTree) -> set:
         ):
             answers.add(candidate)
     return answers
+
+
+# ----------------------------------------------------------------------
+# xmvrlint fixtures
+# ----------------------------------------------------------------------
+#: Members giving a fixture class a plan cache (``_plans``) that is a
+#: strict ``#: state:`` dependent of the state the fixtures write, with
+#: ``_invalidate_plans()`` as its patch (rules L7 and L15).
+PLAN_CACHE_MEMBERS = """\
+        def __init__(self, store):
+            self._views = {}  #: state: hard
+            self._materialized = []  #: state: hard
+            self.fragments = store  #: state: hard
+            #: state: soft(derived-from=_views, _materialized, fragments; rebuild=_invalidate_plans)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
+"""
+
+
+def plan_cached(source: str) -> str:
+    """Insert :data:`PLAN_CACHE_MEMBERS` into every top-level class of
+    a (4-space indented) lint fixture."""
+    lines = []
+    for line in source.splitlines(keepends=True):
+        lines.append(line)
+        if line.startswith("    class ") and line.rstrip().endswith(":"):
+            lines.append(PLAN_CACHE_MEMBERS)
+    return "".join(lines)

@@ -15,6 +15,7 @@ from repro.bench import (
 )
 from repro.core import View
 from repro.errors import (
+    DuplicateViewError,
     ReproError,
     RewritingError,
     StorageCorruptionError,
@@ -104,10 +105,16 @@ class TestErrorHierarchy:
             StorageCorruptionError,
             ViewNotAnswerableError,
             RewritingError,
+            DuplicateViewError,
         ],
     )
     def test_all_derive_from_repro_error(self, error_type):
         assert issubclass(error_type, ReproError)
+
+    def test_duplicate_view_is_value_error(self):
+        # Typed for the service's 409, still a ValueError for callers
+        # that caught the untyped error.
+        assert issubclass(DuplicateViewError, ValueError)
 
     def test_corruption_is_storage_error(self):
         assert issubclass(StorageCorruptionError, StorageError)

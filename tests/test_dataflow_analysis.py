@@ -1,8 +1,9 @@
 """Unit tests for the whole-program analysis framework behind rules
-L6-L9: the mini-IR and freshness analysis (``analysis/dataflow.py``),
-call-graph construction and layering (``analysis/callgraph.py``), and
-the interprocedural effect/guarantee/window fixpoints
-(``analysis/effects.py``).
+L7-L19: the mini-IR and freshness analysis (``analysis/dataflow.py``),
+call-graph construction and layering (``analysis/callgraph.py``), the
+effect fixpoint (``analysis/effects.py``), and the derivation-DAG
+walker's per-edge summaries and mutate-then-raise windows
+(``analysis/statedeps.py``).
 """
 
 import ast
@@ -18,6 +19,9 @@ from repro.analysis.dataflow import (
     summarize_module,
 )
 from repro.analysis.effects import Effect, analyze, classify
+from repro.analysis.statedeps import analyze_statedeps
+
+from conftest import plan_cached
 
 
 def _fn(source: str) -> ast.FunctionDef:
@@ -292,118 +296,135 @@ def test_memo_attribute_writes_are_not_mutations():
     assert classify(effect) == "reads-state"
 
 
-def test_guaranteed_set_closes_over_helpers():
-    facts = _facts(
-        {
-            "core/system.py": """
-                class XMVRSystem:
-                    def _admit(self, view):
-                        self._views[view.view_id] = view
-                        self._invalidate_plans()
+# ----------------------------------------------------------------------
+# derivation-DAG walker: per-edge summaries and windows (rules L7, L15)
+# ----------------------------------------------------------------------
+def _state_facts(files: dict):
+    summaries = {}
+    for relpath, source in files.items():
+        source = textwrap.dedent(source)
+        summaries[relpath] = summarize_module(
+            ast.parse(source), relpath, source=source
+        )
+    project = build_project(summaries)
+    return analyze_statedeps(project, analyze(project).effects)
 
-                    def register(self, view):
-                        self._admit(view)
-                        return view
-            """
-        }
+
+def _plan_edge(facts, source: str):
+    """The ``source -> _plans`` edge of a :func:`plan_cached` class."""
+    return next(
+        edge for edge in facts.edges
+        if edge.source[1] == source and edge.target[1] == "_plans"
     )
-    assert "core.system:XMVRSystem._admit" in facts.guaranteed
-    assert "core.system:XMVRSystem.register" in facts.guaranteed
+
+
+def _system(methods: str) -> dict:
+    return {"core/system.py": plan_cached(
+        "    class XMVRSystem:\n" + textwrap.indent(
+            textwrap.dedent(methods), "        "
+        )
+    )}
+
+
+def test_guaranteed_set_closes_over_helpers():
+    # A helper that patches the plan cache on every exit makes its
+    # callers patch it too.
+    facts = _state_facts(_system("""
+        def _admit(self, view):
+            self._views[view.view_id] = view
+            self._invalidate_plans()
+
+        def register(self, view):
+            self._admit(view)
+            return view
+    """))
+    summaries = facts.edge_summaries(_plan_edge(facts, "_views"))
+    for name in ("_admit", "register"):
+        summary = summaries[f"core.system:XMVRSystem.{name}"]
+        assert summary.patches and not summary.dirties
 
 
 def test_mutates_answering_is_reachability_closed():
-    facts = _facts(
-        {
-            "core/system.py": """
-                class XMVRSystem:
-                    def _low(self):
-                        self._materialized.append(1)
+    facts = _state_facts(_system("""
+        def _low(self):
+            self._materialized.append(1)
 
-                    def _mid(self):
-                        self._low()
+        def _mid(self):
+            self._low()
 
-                    def refresh(self):
-                        self._mid()
-            """
-        }
-    )
+        def refresh(self):
+            self._mid()
+    """))
+    summaries = facts.edge_summaries(_plan_edge(facts, "_materialized"))
     for name in ("_low", "_mid", "refresh"):
-        assert f"core.system:XMVRSystem.{name}" in facts.mutates_answering
-    assert "core.system:XMVRSystem.refresh" not in facts.guaranteed
+        assert summaries[f"core.system:XMVRSystem.{name}"].dirties
+    assert not summaries["core.system:XMVRSystem.refresh"].patches
 
 
 def test_mutation_witness_names_the_call_path():
-    facts = _facts(
-        {
-            "core/system.py": """
-                class XMVRSystem:
-                    def _low(self):
-                        self._materialized.append(1)
+    facts = _state_facts(_system("""
+        def _low(self):
+            self._materialized.append(1)
 
-                    def refresh(self):
-                        self._low()
-            """
-        }
-    )
-    assert facts.mutation_witness("core.system:XMVRSystem.refresh") == ["_low"]
+        def refresh(self):
+            self._low()
+    """))
+    summaries = facts.edge_summaries(_plan_edge(facts, "_materialized"))
+    assert summaries["core.system:XMVRSystem.refresh"].via == "_low"
+    (finding,) = facts.invalidation_violations()
+    assert "via _low()" in finding[2]
 
 
 def test_windows_detects_raise_in_the_mutated_region():
-    facts = _facts(
-        {
-            "core/system.py": """
-                class XMVRSystem:
-                    def tag(self, view):
-                        self._views[view.view_id] = view
-                        if not view.ok:
-                            raise ValueError("bad")
-                        self._invalidate_plans()
-            """
-        }
-    )
-    windows = facts.windows("core.system:XMVRSystem.tag")
+    facts = _state_facts(_system("""
+        def tag(self, view):
+            self._views[view.view_id] = view
+            if not view.ok:
+                raise ValueError("bad")
+            self._invalidate_plans()
+    """))
+    windows = facts.window_violations()
     assert len(windows) == 1
+    assert "XMVRSystem.tag: raises" in windows[0][2]
 
 
 def test_windows_clean_when_invalidation_comes_first():
-    facts = _facts(
-        {
-            "core/system.py": """
-                class XMVRSystem:
-                    def tag(self, view):
-                        self._invalidate_plans()
-                        self._views[view.view_id] = view
-                        if not view.ok:
-                            raise ValueError("bad")
-            """
-        }
-    )
-    assert facts.windows("core.system:XMVRSystem.tag") == []
+    facts = _state_facts(_system("""
+        def tag(self, view):
+            self._invalidate_plans()
+            self._views[view.view_id] = view
+            if not view.ok:
+                raise ValueError("bad")
+    """))
+    assert facts.window_violations() == []
 
 
-def test_entry_points_cover_watched_classes_and_maintenance():
-    facts = _facts(
+def test_entry_points_are_public_non_lifecycle_functions():
+    facts = _state_facts(
         {
             "core/system.py": """
                 class XMVRSystem:
                     def answer(self, query):
-                        return query
+                        def inner():
+                            return query
+                        return inner()
 
                     def _private(self):
+                        return None
+
+                    def close(self):
                         return None
             """,
             "core/maintenance.py": """
                 def rebuild(system):
                     return system
             """,
-            "core/other.py": """
-                def helper(value):
-                    return value
-            """,
         }
     )
-    names = {fqname for fqname, _ in facts.entry_points()}
-    assert "core.system:XMVRSystem.answer" in names
-    assert "core.maintenance:rebuild" in names
-    assert "core.system:XMVRSystem._private" not in names
-    assert "core.other:helper" not in names
+    assert facts.is_entry_point("core.system:XMVRSystem.answer")
+    assert facts.is_entry_point("core.maintenance:rebuild")
+    assert not facts.is_entry_point("core.system:XMVRSystem._private")
+    assert not facts.is_entry_point("core.system:XMVRSystem.close")
+    assert not facts.is_entry_point(
+        "core.system:XMVRSystem.answer.<locals>.inner"
+    )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import AcceptEntry, PathNFA, VFilter, View
+from repro.errors import DuplicateViewError
 from repro.matching import has_homomorphism
 from repro.storage import KVStore
 from repro.xpath import normalize, parse_path, parse_xpath, str_tokens
@@ -164,7 +165,7 @@ class TestVFilterAlgorithm1:
     def test_duplicate_view_id_rejected(self):
         vfilter = VFilter()
         vfilter.add_view(View.from_xpath("V", "//a"))
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateViewError):
             vfilter.add_view(View.from_xpath("V", "//b"))
 
     def test_normalization_eliminates_false_negatives(self):

@@ -8,7 +8,11 @@ import json
 import pytest
 
 from repro.core.system import MaterializedViewSystem
-from repro.errors import ViewNotAnswerableError, XPathSyntaxError
+from repro.errors import (
+    DuplicateViewError,
+    ViewNotAnswerableError,
+    XPathSyntaxError,
+)
 from repro.obs import parse_exposition
 from repro.service import (
     AdmissionRejectedError,
@@ -72,9 +76,11 @@ def test_parse_register_request():
     (ProtocolError("big", status=413), 413),
     (XPathSyntaxError("nope"), 400),
     (ViewNotAnswerableError("uncovered"), 422),
-    (ValueError("duplicate view id 'v1'"), 409),
+    (DuplicateViewError("duplicate view id 'v1'"), 409),
     (DeadlineExceededError("late"), 504),
     (RuntimeError("boom"), 500),
+    # Mapped by type, not by message: a plain ValueError is a 400.
+    (ValueError("duplicate view id 'v1'"), 400),
 ])
 def test_error_payload_status_mapping(error, status):
     got_status, body, _ = error_payload(error)
@@ -148,6 +154,10 @@ def test_query_roundtrip_matches_direct_evaluation(served):
 
 def test_query_error_statuses(served):
     assert _call(served, "POST", "/query", {"query": "!!"})[0] == 400
+    # Deeper than MAX_PATTERN_DEPTH: a typed syntax error, not a 500.
+    for deep in ("//item" + "/b" * 500, "//item" + "[b" * 500 + "]" * 500):
+        status, body, _ = _call(served, "POST", "/query", {"query": deep})
+        assert (status, body["error"]) == (400, "XPathSyntaxError")
     assert _call(served, "POST", "/query", {"bad": 1})[0] == 400
     status, body, _ = _call(
         served, "POST", "/query", {"query": "//no/such"}

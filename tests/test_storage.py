@@ -157,6 +157,34 @@ class TestKVStore:
         with KVStore(path) as store:
             assert store.get(b"k") == b"value-19"
 
+    def test_failed_compaction_drops_index_of_old_log(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression (xmvrlint L7): compact() swaps in the rewritten log
+        # before re-scanning it.  If the re-scan fails, the index and
+        # length must not keep offsets into the old log — reads would
+        # return bytes from the wrong records.
+        path = str(tmp_path / "db")
+        store = KVStore(path)
+        store.put(b"gone", b"x" * 64)
+        store.put(b"gone", b"y" * 8)
+        store.put(b"kept", b"value")
+
+        def corrupt(self):
+            raise StorageCorruptionError("bad checksum at offset 0")
+
+        monkeypatch.setattr(KVStore, "_recover", corrupt)
+        with pytest.raises(StorageCorruptionError):
+            store.compact()
+        assert store.get(b"kept") is None
+        assert len(store) == 0
+        assert store.stored_bytes == 0
+        assert store.file_bytes == 0
+        store.close()
+        monkeypatch.undo()
+        with KVStore(path) as reopened:
+            assert reopened.get(b"kept") == b"value"
+
     def test_scan_prefix(self):
         store = KVStore()
         store.put(b"x:1", b"a")

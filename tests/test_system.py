@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import MaterializedViewSystem, ViewNotAnswerableError, encode_tree
+from repro import (
+    DuplicateViewError,
+    MaterializedViewSystem,
+    ViewNotAnswerableError,
+    encode_tree,
+)
+from repro.core.parallel import MIN_PARALLEL_VIEWS
 from repro.storage import KVStore
 from repro.xmltree import build_tree
 
@@ -33,8 +39,14 @@ class TestRegistration:
         assert system.view("V1").to_xpath() == "//s[t]/p"
 
     def test_duplicate_rejected(self, system):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateViewError):
             system.register_view("V1", "//s")
+        # The batch path rejects a duplicate before evaluating anything.
+        batch = {f"N{i}": "//t" for i in range(MIN_PARALLEL_VIEWS)}
+        batch["V1"] = "//s"
+        with pytest.raises(DuplicateViewError):
+            system.register_views(batch, workers=2)
+        assert system.view_count == 3
 
     def test_cap_excludes_view(self):
         doc = encode_tree(build_tree(BOOK))

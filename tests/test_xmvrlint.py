@@ -1,7 +1,9 @@
 """Self-test corpus for xmvrlint (analysis/engine.py + rules.py).
 
-Each rule L1-L5 gets positive fixtures (seeded violations that must
-fire) and negative fixtures (compliant code that must stay clean),
+Each per-file rule L2-L5, and the plan-cache invalidation fixtures of
+the former rule L1 (now checked by L15), gets positive fixtures (seeded
+violations that must fire) and negative fixtures (compliant code that
+must stay clean),
 plus suppression handling, the exit-code contract, JSON output and the
 ``--fix`` return-annotation inserter.
 """
@@ -22,6 +24,8 @@ from repro.analysis.engine import (
 )
 from repro.analysis.lintcli import main as lint_main
 
+from conftest import plan_cached
+
 
 def _lint_snippet(tmp_path: Path, relpath: str, source: str, select=None):
     """Write a snippet at ``tmp_path/relpath`` and lint it."""
@@ -36,16 +40,20 @@ def _rules_hit(violations):
 
 
 # ----------------------------------------------------------------------
-# L1 — invalidation discipline
+# plan-cache invalidation (the former rule L1, now checked by L15)
 # ----------------------------------------------------------------------
-L1_MISSING = """
+# L1 was the per-class form of "no cached plan outlives the state it was
+# derived from".  Rule L15 checks that invariant over the `#: state:`
+# derivation DAG, so the fixtures keep their L1 names and declare the
+# plan cache as a strict dependent of the state they write.
+L1_MISSING = plan_cached("""
     class XMVRSystem:
         def register_view(self, view):
             self._views[view.view_id] = view
             return True
-"""
+""")
 
-L1_EARLY_RETURN = """
+L1_EARLY_RETURN = plan_cached("""
     class MaterializedViewSystem:
         def drop_view(self, view_id):
             self.fragments.drop(view_id)
@@ -53,17 +61,17 @@ L1_EARLY_RETURN = """
                 return False
             self._invalidate_plans()
             return True
-"""
+""")
 
-L1_OK_DIRECT = """
+L1_OK_DIRECT = plan_cached("""
     class XMVRSystem:
         def register_view(self, view):
             self._views[view.view_id] = view
             self._invalidate_plans()
             return True
-"""
+""")
 
-L1_OK_TRANSITIVE = """
+L1_OK_TRANSITIVE = plan_cached("""
     class XMVRSystem:
         def _admit(self, view):
             self._views[view.view_id] = view
@@ -73,54 +81,87 @@ L1_OK_TRANSITIVE = """
         def register_view(self, view):
             self.fragments.materialize(view.view_id, [])
             return self._admit(view)
-"""
+""")
 
-L1_OK_BOTH_BRANCHES = """
+# Tree surgery on any receiver writes the system's document when it
+# happens in the maintenance or system modules.
+DOCUMENT_EDITOR = """
+    class MaterializedViewSystem:
+        def __init__(self, document):
+            self.document = document  #: state: hard
+            #: state: soft(derived-from=document; rebuild=_invalidate_plans)
+            self._plans = {}
+
+        def _invalidate_plans(self):
+            self._plans = {}
+
     class DocumentEditor:
+        def __init__(self, system):
+            self.system = system  #: state: hard
+
         def edit(self, node):
             node.detach()
             if node.label == "a":
                 self.system._invalidate_plans()
             else:
-                self.system._invalidate_plans()
+                %s
             return node
 """
 
-L1_OK_RAISE = """
+L1_OK_BOTH_BRANCHES = DOCUMENT_EDITOR % "self.system._invalidate_plans()"
+
+L1_OK_RAISE = plan_cached("""
     class XMVRSystem:
         def register_view(self, view):
             if view.view_id in self._views:
                 raise ValueError("duplicate")
             self._views[view.view_id] = view
             self._invalidate_plans()
-"""
+""")
 
-L1_LOOP_ONLY = """
+# The write precedes the loop: an invalidation inside the loop body may
+# run zero times.  (A write and an invalidation in the same iteration is
+# correct, and L15 accepts it.)
+L1_LOOP_ONLY = plan_cached("""
     class XMVRSystem:
         def register_many(self, views):
+            self.fragments.materialize("batch", [])
             for view in views:
-                self.fragments.materialize(view.view_id, [])
                 self._invalidate_plans()
             return views
-"""
+""")
+
+
+def _lint_maintenance(tmp_path, source):
+    return _lint_snippet(
+        tmp_path, "repro/delta/maintenance.py", source, ["L15"]
+    )
 
 
 def test_l1_fires_on_missing_invalidation(tmp_path):
-    violations = _lint_snippet(tmp_path, "core/bad.py", L1_MISSING, ["L1"])
-    assert _rules_hit(violations) == {"L1"}
+    violations = _lint_snippet(tmp_path, "core/bad.py", L1_MISSING, ["L15"])
+    assert _rules_hit(violations) == {"L15"}
     assert "register_view" in violations[0].message
+    assert "XMVRSystem._plans" in violations[0].message
 
 
 def test_l1_fires_on_uninvalidated_early_return(tmp_path):
-    violations = _lint_snippet(tmp_path, "core/bad.py", L1_EARLY_RETURN, ["L1"])
-    assert _rules_hit(violations) == {"L1"}
+    violations = _lint_snippet(
+        tmp_path, "core/bad.py", L1_EARLY_RETURN, ["L15"]
+    )
+    assert _rules_hit(violations) == {"L15"}
+    assert "MaterializedViewSystem.fragments" in violations[0].message
 
 
 def test_l1_loop_body_call_does_not_guarantee(tmp_path):
-    # A call inside a for-loop may run zero times; the rule must not
-    # accept it as covering the method's exit.
-    violations = _lint_snippet(tmp_path, "core/bad.py", L1_LOOP_ONLY, ["L1"])
-    assert _rules_hit(violations) == {"L1"}
+    violations = _lint_snippet(tmp_path, "core/bad.py", L1_LOOP_ONLY, ["L15"])
+    assert _rules_hit(violations) == {"L15"}
+
+
+def test_l1_document_surgery_needs_invalidation(tmp_path):
+    violations = _lint_maintenance(tmp_path, DOCUMENT_EDITOR % "pass")
+    assert _rules_hit(violations) == {"L15"}
+    assert "DocumentEditor.edit" in violations[0].message
 
 
 @pytest.mark.parametrize(
@@ -129,16 +170,17 @@ def test_l1_loop_body_call_does_not_guarantee(tmp_path):
     ids=["direct", "transitive", "both-branches", "raise-path"],
 )
 def test_l1_accepts_compliant_methods(tmp_path, source):
-    assert _lint_snippet(tmp_path, "core/ok.py", source, ["L1"]) == []
+    assert _lint_maintenance(tmp_path, source) == []
 
 
 def test_l1_ignores_unchecked_classes(tmp_path):
+    # Only annotated state is part of the derivation DAG.
     source = """
         class SomethingElse:
             def mutate(self):
                 self._views["x"] = 1
     """
-    assert _lint_snippet(tmp_path, "core/ok.py", source, ["L1"]) == []
+    assert _lint_snippet(tmp_path, "core/ok.py", source, ["L15"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -384,10 +426,15 @@ def test_file_suppression(tmp_path):
 def test_suppression_on_def_line_covers_method_rule(tmp_path):
     source = """
         class XMVRSystem:
-            def rebuild(self):  # xmvrlint: disable=L1 -- fresh caches
-                self._views = {}
+            def rebuild(self):{pragma}
+                self._views = {{}}
     """
-    assert _lint_snippet(tmp_path, "core/x.py", source, ["L1"]) == []
+    bare = _lint_snippet(tmp_path, "core/x.py", source.format(pragma=""), ["L5"])
+    assert _rules_hit(bare) == {"L5"}
+    pragma = "  # xmvrlint: disable=L5 -- fresh caches"
+    assert _lint_snippet(
+        tmp_path, "core/x.py", source.format(pragma=pragma), ["L5"]
+    ) == []
 
 
 # ----------------------------------------------------------------------

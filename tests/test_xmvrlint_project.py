@@ -1,5 +1,6 @@
-"""Whole-program rules L6-L9 plus the engine features that ship with
-them: the fact cache, `--baseline` ratchet files, SARIF output,
+"""Whole-program rules L7-L9 (and the interprocedural plan-cache
+fixtures of the former rule L6, now checked by L15) plus the engine
+features that ship with them: the fact cache, `--baseline` ratchet files, SARIF output,
 `--explain`, rule-range selection, and lintcli edge cases.
 
 Every rule gets true-positive fixtures (seeded defects that must fire)
@@ -30,6 +31,8 @@ from repro.analysis.engine import (
 )
 from repro.analysis.lintcli import explain_rule, main as lint_main
 
+from conftest import plan_cached
+
 
 def _lint_snippet(tmp_path: Path, relpath: str, source: str, select=None):
     target = tmp_path / relpath
@@ -52,9 +55,12 @@ def _rules_hit(violations):
 
 
 # ----------------------------------------------------------------------
-# L6 — interprocedural invalidation
+# interprocedural invalidation (the former rule L6, now checked by L15)
 # ----------------------------------------------------------------------
-L6_HELPER_MUTATES = """
+# L6 was the whole-program form of the plan-cache invalidation rule;
+# L15 checks it over the `#: state:` derivation DAG.  The fixtures keep
+# their L6 names and declare the plan cache (`conftest.plan_cached`).
+L6_HELPER_MUTATES = plan_cached("""
     class XMVRSystem:
         def _stash(self, view):
             self._views[view.view_id] = view
@@ -62,9 +68,9 @@ L6_HELPER_MUTATES = """
         def adopt(self, view):
             self._stash(view)
             return view
-"""
+""")
 
-L6_TWO_HOPS = """
+L6_TWO_HOPS = plan_cached("""
     class MaterializedViewSystem:
         def _low(self):
             self._materialized.append(1)
@@ -74,16 +80,19 @@ L6_TWO_HOPS = """
 
         def refresh(self):
             self._mid()
-"""
+""")
 
-L6_MAINTENANCE_ENTRY = """
+L6_MAINTENANCE_ENTRY = plan_cached("""
+    class XMVRSystem:
+        pass
+
     def rebuild(system, views):
         for view in views:
             system._views[view.view_id] = view
         return system
-"""
+""")
 
-L6_FRESH_REOPEN = """
+L6_FRESH_REOPEN = plan_cached("""
     class MaterializedViewSystem:
         @classmethod
         def reopen(cls, path):
@@ -91,9 +100,9 @@ L6_FRESH_REOPEN = """
             system._views["x"] = 1
             system._materialized.append(2)
             return system
-"""
+""")
 
-L6_GUARANTEED_CHAIN = """
+L6_GUARANTEED_CHAIN = plan_cached("""
     class XMVRSystem:
         def _admit(self, view):
             self._views[view.view_id] = view
@@ -103,36 +112,38 @@ L6_GUARANTEED_CHAIN = """
         def register(self, view):
             self.fragments.materialize(view.view_id, [])
             return self._admit(view)
-"""
+""")
 
-L6_READ_ONLY_ENTRY = """
+L6_READ_ONLY_ENTRY = plan_cached("""
     class XMVRSystem:
         def describe(self, view_id):
             return self._views[view_id].pattern
-"""
+""")
 
 
 def test_l6_fires_when_private_helper_mutates(tmp_path):
     violations = _lint_snippet(
-        tmp_path, "core/system.py", L6_HELPER_MUTATES, ["L6"]
+        tmp_path, "core/system.py", L6_HELPER_MUTATES, ["L15"]
     )
-    assert _rules_hit(violations) == {"L6"}
+    assert _rules_hit(violations) == {"L15"}
     assert "adopt" in violations[0].message
     # The diagnostic names the mutating callee.
     assert "_stash" in violations[0].message
 
 
 def test_l6_traces_mutation_two_calls_deep(tmp_path):
-    violations = _lint_snippet(tmp_path, "core/system.py", L6_TWO_HOPS, ["L6"])
-    assert _rules_hit(violations) == {"L6"}
+    violations = _lint_snippet(
+        tmp_path, "core/system.py", L6_TWO_HOPS, ["L15"]
+    )
+    assert _rules_hit(violations) == {"L15"}
     assert "refresh" in violations[0].message
 
 
 def test_l6_watches_maintenance_module_functions(tmp_path):
     violations = _lint_snippet(
-        tmp_path, "core/maintenance.py", L6_MAINTENANCE_ENTRY, ["L6"]
+        tmp_path, "core/maintenance.py", L6_MAINTENANCE_ENTRY, ["L15"]
     )
-    assert _rules_hit(violations) == {"L6"}
+    assert _rules_hit(violations) == {"L15"}
     assert "rebuild" in violations[0].message
 
 
@@ -140,50 +151,63 @@ def test_l6_accepts_mutation_of_freshly_built_system(tmp_path):
     # The reopen pattern: every write lands on an object this function
     # just constructed, so live answering state is untouched.
     assert (
-        _lint_snippet(tmp_path, "core/system.py", L6_FRESH_REOPEN, ["L6"])
+        _lint_snippet(tmp_path, "core/system.py", L6_FRESH_REOPEN, ["L15"])
         == []
     )
 
 
 def test_l6_accepts_guarantee_through_helper(tmp_path):
     assert (
-        _lint_snippet(tmp_path, "core/system.py", L6_GUARANTEED_CHAIN, ["L6"])
+        _lint_snippet(
+            tmp_path, "core/system.py", L6_GUARANTEED_CHAIN, ["L15"]
+        )
         == []
     )
 
 
 def test_l6_accepts_read_only_entry_points(tmp_path):
     assert (
-        _lint_snippet(tmp_path, "core/system.py", L6_READ_ONLY_ENTRY, ["L6"])
+        _lint_snippet(
+            tmp_path, "core/system.py", L6_READ_ONLY_ENTRY, ["L15"]
+        )
         == []
     )
 
 
-def test_l6_suppression_on_def_line(tmp_path):
-    source = """
-        class XMVRSystem:
-            def _stash(self, view):
-                self._views[view.view_id] = view
+def test_l15_suppression_on_reported_line(tmp_path):
+    # A project rule's line pragma works on the line it reports (for
+    # L15: the uncovered write or the call that makes it).
+    source = plan_cached("""
+    class XMVRSystem:
+        def _stash(self, view):
+            self._views[view.view_id] = view
 
-            def adopt(self, view):  # xmvrlint: disable=L6 -- test override
-                self._stash(view)
-    """
-    assert _lint_snippet(tmp_path, "core/system.py", source, ["L6"]) == []
+        def adopt(self, view):
+            self._stash(view)PRAGMA
+""")
+    (violation,) = _lint_snippet(
+        tmp_path, "core/system.py", source.replace("PRAGMA", ""), ["L15"]
+    )
+    assert "self._stash(view)" in source.splitlines()[violation.line - 1]
+    pragma = "  # xmvrlint: disable=L15 -- test override"
+    assert _lint_snippet(
+        tmp_path, "core/system.py", source.replace("PRAGMA", pragma), ["L15"]
+    ) == []
 
 
 # ----------------------------------------------------------------------
-# L7 — exception safety (mutate-then-raise windows)
+# L7 — exception safety (mutate-then-raise windows on the L15 walker)
 # ----------------------------------------------------------------------
-L7_RAISE_AFTER_MUTATE = """
+L7_RAISE_AFTER_MUTATE = plan_cached("""
     class XMVRSystem:
         def tag(self, view):
             self._views[view.view_id] = view
             if not view.ok:
                 raise ValueError("bad view")
             self._invalidate_plans()
-"""
+""")
 
-L7_RAISING_CALLEE = """
+L7_RAISING_CALLEE = plan_cached("""
     class XMVRSystem:
         def _persist(self, view):
             raise OSError("disk full")
@@ -192,18 +216,18 @@ L7_RAISING_CALLEE = """
             self._views[view.view_id] = view
             self._persist(view)
             self._invalidate_plans()
-"""
+""")
 
-L7_INVALIDATE_FIRST = """
+L7_INVALIDATE_FIRST = plan_cached("""
     class XMVRSystem:
         def tag(self, view):
             self._invalidate_plans()
             self._views[view.view_id] = view
             if not view.ok:
                 raise ValueError("bad view")
-"""
+""")
 
-L7_HANDLER_INVALIDATES = """
+L7_HANDLER_INVALIDATES = plan_cached("""
     class XMVRSystem:
         def _persist(self, view):
             raise OSError("disk full")
@@ -216,16 +240,41 @@ L7_HANDLER_INVALIDATES = """
                 self._invalidate_plans()
                 raise
             self._invalidate_plans()
-"""
+""")
 
-L7_RAISE_BEFORE_MUTATE = """
+L7_RAISE_BEFORE_MUTATE = plan_cached("""
     class XMVRSystem:
         def tag(self, view):
             if not view.ok:
                 raise ValueError("bad view")
             self._views[view.view_id] = view
             self._invalidate_plans()
-"""
+""")
+
+L7_FINALLY_INVALIDATES = plan_cached("""
+    class XMVRSystem:
+        def _persist(self, view):
+            raise OSError("disk full")
+
+        def register(self, view):
+            try:
+                self._views[view.view_id] = view
+                self._persist(view)
+            finally:
+                self._invalidate_plans()
+""")
+
+L7_CALLEE_WINDOW = plan_cached("""
+    class XMVRSystem:
+        def _stash(self, view):
+            self._views[view.view_id] = view
+            if not view.ok:
+                raise ValueError("bad view")
+
+        def register(self, view):
+            self._stash(view)
+            self._invalidate_plans()
+""")
 
 
 def test_l7_fires_on_raise_between_mutation_and_invalidate(tmp_path):
@@ -233,7 +282,7 @@ def test_l7_fires_on_raise_between_mutation_and_invalidate(tmp_path):
         tmp_path, "core/system.py", L7_RAISE_AFTER_MUTATE, ["L7"]
     )
     assert _rules_hit(violations) == {"L7"}
-    assert "stale plan cache" in violations[0].message
+    assert "stale XMVRSystem._plans" in violations[0].message
 
 
 def test_l7_fires_on_raising_callee_in_the_window(tmp_path):
@@ -241,6 +290,17 @@ def test_l7_fires_on_raising_callee_in_the_window(tmp_path):
         tmp_path, "core/system.py", L7_RAISING_CALLEE, ["L7"]
     )
     assert _rules_hit(violations) == {"L7"}
+    assert "'_persist()' may raise" in violations[0].message
+
+
+def test_l7_fires_on_window_inside_a_private_callee(tmp_path):
+    # The callee writes, then raises before anyone invalidates: the
+    # entry point that calls it is where the window is reported.
+    violations = _lint_snippet(
+        tmp_path, "core/system.py", L7_CALLEE_WINDOW, ["L7"]
+    )
+    assert _rules_hit(violations) == {"L7"}
+    assert "'_stash()' may raise after modifying" in violations[0].message
 
 
 def test_l7_accepts_invalidate_first(tmp_path):
@@ -256,6 +316,15 @@ def test_l7_accepts_handler_that_invalidates_before_reraising(tmp_path):
     assert (
         _lint_snippet(
             tmp_path, "core/system.py", L7_HANDLER_INVALIDATES, ["L7"]
+        )
+        == []
+    )
+
+
+def test_l7_accepts_finally_that_invalidates(tmp_path):
+    assert (
+        _lint_snippet(
+            tmp_path, "core/system.py", L7_FINALLY_INVALIDATES, ["L7"]
         )
         == []
     )
@@ -686,8 +755,6 @@ def test_cli_sarif_output(tmp_path, capsys):
 # ----------------------------------------------------------------------
 def test_explain_returns_design_entries():
     for rule_id, marker in [
-        ("L1", "invalidation"),
-        ("L6", "interprocedural"),
         ("L7", "exception"),
         ("L8", "purity"),
         ("L9", "layering"),
@@ -718,15 +785,29 @@ def test_cli_explain_exits_clean(capsys):
 
 
 def test_rule_range_selection():
-    assert [rule.rule_id for rule in all_rules(["L1-L3"])] == [
-        "L1", "L2", "L3",
+    assert [rule.rule_id for rule in all_rules(["L2-L4"])] == [
+        "L2", "L3", "L4",
     ]
     # Selection order is preserved: ranges expand in place.
     assert [rule.rule_id for rule in all_rules(["L7-L9", "L2"])] == [
         "L7", "L8", "L9", "L2",
     ]
+    # A range selects the registered rules inside its bounds: the
+    # retired ids L1 and L6 are skipped, not reported as unknown.
+    assert [rule.rule_id for rule in all_rules(["L1-L7"])] == [
+        "L2", "L3", "L4", "L5", "L7",
+    ]
+    assert "L1" not in {rule.rule_id for rule in all_rules(["L1-L19"])}
     with pytest.raises(LintError):
         all_rules(["L9-L7"])
+    # A range that selects nothing, or a retired id named explicitly,
+    # is still an error.
+    with pytest.raises(LintError):
+        all_rules(["L1-L1"])
+    with pytest.raises(LintError):
+        all_rules(["L6"])
+    with pytest.raises(LintError):
+        all_rules(["L90-L99"])
 
 
 def test_cli_rules_flag_accepts_ranges(tmp_path, capsys):
@@ -736,7 +817,10 @@ def test_cli_rules_flag_accepts_ranges(tmp_path, capsys):
         "def remark(p):\n    p.ret.axis = None\n", encoding="utf-8"
     )
     assert lint_main([str(dirty), "--rules", "L1-L9"]) == EXIT_VIOLATIONS
+    assert lint_main([str(dirty), "--rules", "L1-L19"]) == EXIT_VIOLATIONS
     assert lint_main([str(dirty), "--rules", "L3-L4"]) == EXIT_CLEAN
+    assert lint_main([str(dirty), "--rules", "L6"]) == EXIT_ERROR
+    assert lint_main([str(dirty), "--rules", "L6-L6"]) == EXIT_ERROR
     capsys.readouterr()
 
 
@@ -757,15 +841,20 @@ def test_multi_rule_disable_file(tmp_path):
 
 def test_suppression_on_decorated_def_line(tmp_path):
     source = """
-        def wrap(fn):
+        def _wrap(fn):
             return fn
 
         class XMVRSystem:
-            @wrap
-            def rebuild(self):  # xmvrlint: disable=L1 -- fresh caches
-                self._views = {}
+            @_wrap
+            def rebuild(self):{pragma}
+                self._views = {{}}
     """
-    assert _lint_snippet(tmp_path, "core/x.py", source, ["L1"]) == []
+    bare = _lint_snippet(tmp_path, "core/x.py", source.format(pragma=""), ["L5"])
+    assert _rules_hit(bare) == {"L5"}
+    pragma = "  # xmvrlint: disable=L5 -- fresh caches"
+    assert _lint_snippet(
+        tmp_path, "core/x.py", source.format(pragma=pragma), ["L5"]
+    ) == []
 
 
 def test_unparsable_file_in_clean_directory_is_exit_2(tmp_path, capsys):
@@ -790,7 +879,7 @@ def test_fix_on_clean_file_changes_nothing(tmp_path, capsys):
 # the repo itself is clean under the full rule set
 # ----------------------------------------------------------------------
 def test_repo_is_clean_under_whole_program_rules():
-    # The full per-file + whole-program rule set (dataflow L6-L9,
+    # The full per-file + whole-program rule set (dataflow L7-L9,
     # concurrency L10-L14, derived-state L15-L19): the real tree must
     # stay clean with zero unjustified suppressions.
     src = Path(__file__).resolve().parent.parent / "src"

@@ -529,6 +529,21 @@ SYSTEM_MUTANTS = {
     def mutant_stash(self):
         self._scratch = {}
 """,
+    # Deletion mutants, (file under src/repro, text, replacement): each
+    # drops a plan-cache invalidation that follows a fragment write.
+    "L15-admit_view": (
+        "core/system.py",
+        "            self._invalidate_plans()\n            epoch = self._epoch\n"
+        "            views = dict(epoch.views)\n",
+        "            epoch = self._epoch\n            views = dict(epoch.views)\n",
+    ),
+    "L15-rebuild_all": (
+        "delta/maintenance.py",
+        "        system = self.system\n        system._invalidate_plans()\n"
+        "        report = MaintenanceReport(operation, changed_nodes)\n",
+        "        system = self.system\n"
+        "        report = MaintenanceReport(operation, changed_nodes)\n",
+    ),
 }
 
 
@@ -543,11 +558,19 @@ def _lint_package_copy(tmp_path: Path, extra: str = ""):
     return lint_paths([tmp_path], all_rules(["L15-L19"]), root=tmp_path)
 
 
-def _lint_system_copy(tmp_path: Path, extra: str):
+def _lint_system_copy(tmp_path: Path, mutant):
+    if isinstance(mutant, tuple):
+        relpath, text, replacement = mutant
+        shutil.copytree(SYSTEM_PY.parent.parent, tmp_path / "repro")
+        target = tmp_path / "repro" / relpath
+        source = target.read_text(encoding="utf-8")
+        assert source.count(text) == 1, f"mutant text drifted in {relpath}"
+        target.write_text(source.replace(text, replacement), encoding="utf-8")
+        return lint_paths([tmp_path], all_rules(["L15-L19"]), root=tmp_path)
     original_lines = SYSTEM_PY.read_text(encoding="utf-8").count("\n")
     return [
         v
-        for v in _lint_package_copy(tmp_path, extra)
+        for v in _lint_package_copy(tmp_path, mutant)
         if v.path.endswith("system.py") and v.line > original_lines
     ]
 
@@ -557,11 +580,12 @@ def test_unmutated_system_copy_is_clean(tmp_path):
     assert violations == [], engine.render_human(violations)
 
 
-@pytest.mark.parametrize("rule_id", sorted(SYSTEM_MUTANTS))
-def test_seeded_mutant_is_caught(tmp_path, rule_id):
-    seeded = _lint_system_copy(tmp_path, SYSTEM_MUTANTS[rule_id])
+@pytest.mark.parametrize("mutant_id", sorted(SYSTEM_MUTANTS))
+def test_seeded_mutant_is_caught(tmp_path, mutant_id):
+    rule_id = mutant_id.split("-")[0]
+    seeded = _lint_system_copy(tmp_path, SYSTEM_MUTANTS[mutant_id])
     assert rule_id in _rules_hit(seeded), (
-        f"{rule_id} missed its seeded mutant"
+        f"{rule_id} missed its seeded mutant {mutant_id}"
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XPathSyntaxError
 from repro.xpath import Axis, parse_path, parse_xpath
+from repro.xpath.parser import MAX_PATTERN_DEPTH
 
 
 class TestMainPath:
@@ -193,3 +194,54 @@ class TestParseCache:
         for _ in range(2):  # identical failures on repeat calls
             with pytest.raises(XPathSyntaxError):
                 parse_xpath("//a[")
+
+
+class TestDepthLimit:
+    """Deep expressions fail typed instead of exhausting the stack."""
+
+    @staticmethod
+    def _path(depth):
+        return "/a" + "/b" * (depth - 1)
+
+    @staticmethod
+    def _nested(depth):
+        return "/a" + "[b" * (depth - 1) + "]" * (depth - 1)
+
+    @staticmethod
+    def _depth(pattern):
+        deepest = 0
+        stack = [(pattern.root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            deepest = max(deepest, depth)
+            stack.extend((child, depth + 1) for child in node.children)
+        return deepest
+
+    def test_pattern_at_the_limit_parses_and_answers(self):
+        from repro import MaterializedViewSystem, encode_tree
+        from repro.xmltree import build_tree
+
+        system = MaterializedViewSystem(
+            encode_tree(build_tree(("a", [("b", [("b", ["c"])])])))
+        )
+        system.register_view("A", "//a")
+        system.register_view("B", "//b")
+        for expression in (
+            self._path(MAX_PATTERN_DEPTH), self._nested(MAX_PATTERN_DEPTH)
+        ):
+            assert self._depth(parse_xpath(expression)) == MAX_PATTERN_DEPTH
+            assert system.answer(expression).codes == []
+
+    @pytest.mark.parametrize("depth", [MAX_PATTERN_DEPTH + 1, 500])
+    def test_deeper_pattern_is_a_syntax_error(self, depth):
+        for expression in (self._path(depth), self._nested(depth)):
+            with pytest.raises(XPathSyntaxError, match="deeper than"):
+                parse_xpath(expression)
+
+    def test_predicate_depth_adds_to_host_depth(self):
+        # A predicate path hangs below its host step.
+        half = MAX_PATTERN_DEPTH // 2
+        expression = "/a" + "/b" * (half - 1) + "[c" + "/d" * half + "]"
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath(expression)
+        parse_xpath("/a" + "/b" * (half - 1) + "[c" + "/d" * (half - 1) + "]")
