@@ -5,6 +5,9 @@ views, plan cache disabled) that asserts *feature flags*, not timings —
 CI machines are too noisy for latency assertions, but they can verify
 that the structural optimizations are actually on the serving path:
 
+* **one layer per batch** — the bulk ``register_views`` publishes
+  exactly one epoch whose VFILTER is a single layer (a counter gate:
+  each extra layer is one more filter pass per cold read);
 * **compiled VFILTER** — every filter layer carries a compiled
   transition table after registration (epoch publish precompiles), and
   every cold ``answer()`` goes through the compiled read path (zero
@@ -33,10 +36,21 @@ from repro.xmltree.dewey import pack_code
 def run_smoke(scale: float = 0.2, view_count: int = 40) -> dict:
     env = build_environment(scale=scale, view_count=view_count, seed=42)
     system = MaterializedViewSystem(env.document, plan_cache_size=0)
+    seq = system.current_epoch().seq
     system.register_views(
         {view.view_id: view.pattern
          for view in env.system.materialized_views()}
     )
+
+    # --- one epoch, one VFILTER layer per batch ------------------------
+    # Every layer is one more Algorithm 1 pass per cold read; a bulk
+    # registration that leaves a delta stack behind fails here.
+    assert system.current_epoch().seq == seq + 1, (
+        "register_views published more than one epoch",
+        system.current_epoch().seq - seq,
+    )
+    layers = system.vfilter.compiled_stats()["layers"]
+    assert layers == 1, ("register_views left a layered VFILTER", layers)
 
     # --- packed-key feature flags -------------------------------------
     sampled = 0

@@ -10,8 +10,7 @@ axis; ``#`` can only match ``#``"):
 * ``STAR`` — consumes any token except ``#``: the view's ``*`` subsumes
   every query label and the query's own ``*``.
 * ``ANY`` — consumes every token including ``#``: used on the loop
-  states that realize ``//``-edges and as the accepting self-loop (a
-  view path contains every query path extending one of its matches).
+  states that realize ``//``-edges.
 
 Construction per normalized view path pattern:
 
@@ -32,6 +31,16 @@ continue along the ``/l`` pattern's suffix (``//l/x ⋢ /l/x``).
 
 Common prefixes share states, which is what keeps VFILTER's size
 sub-linear in the number of views (Figure 11).
+
+A view path contains every query path that extends one of its matches,
+so :meth:`PathNFA.read` collects the accept entries of every state it
+passes, after each token, instead of looping on an accepting state
+until the stream ends.  An accepting state is often also a shared
+prefix of longer view paths; a self-loop there would let a query
+consume extra tokens and then continue along another view's suffix —
+``/*/catgraph`` accepting ``site catgraph #`` must not make
+``/*/catgraph/edge`` accept ``site catgraph # edge`` — and would make a
+view's acceptance depend on which other views share its automaton.
 """
 
 from __future__ import annotations
@@ -218,12 +227,7 @@ class PathNFA:
                     current = self._advance_any(current)
                 current = self._advance_descendant(current, WILDCARD)
                 index = end
-        accepting = self._states[current]
-        if not accepting.accepts and current not in accepting.any_to:
-            # First acceptance here: the prefix-extension self-loop.
-            accepting.any_to.append(current)
-            self._transition_count += 1
-        accepting.accepts.append(entry)
+        self._states[current].accepts.append(entry)
 
     # ------------------------------------------------------------------
     # execution
@@ -251,7 +255,8 @@ class PathNFA:
         return following
 
     def read(self, tokens: tuple[str, ...]) -> list[AcceptEntry]:
-        """Run ``δ(q0, tokens)`` and return the accept entries reached.
+        """Run ``tokens`` and return the accept entries of every state
+        reached after some prefix of them (an entry may repeat).
 
         Uses the compiled transition table when :meth:`compile` has run
         (one dict probe per token) and falls back to set simulation
@@ -263,13 +268,13 @@ class PathNFA:
             return compiled.read(tokens)
         self.reads_simulated += 1
         current: set[int] = {0}
+        entries: list[AcceptEntry] = []
         for token in tokens:
             current = self._step(current, token)
             if not current:
-                return []
-        entries: list[AcceptEntry] = []
-        for state_id in current:
-            entries.extend(self._states[state_id].accepts)
+                break
+            for state_id in current:
+                entries.extend(self._states[state_id].accepts)
         return entries
 
     def compile(self, budget: int = DEFAULT_COMPILE_BUDGET) -> "CompiledNFA":
@@ -510,12 +515,14 @@ class CompiledNFA:
     # execution (lock-free fast path)
     # ------------------------------------------------------------------
     def read(self, tokens: tuple[str, ...]) -> list[AcceptEntry]:
-        """Run the token path through the table: one probe per token."""
+        """Run the token path through the table: one probe per token,
+        collecting each reached state's accept entries (the same
+        entries :meth:`PathNFA.read` simulates, possibly reordered)."""
         labels = self._labels
+        accepts = self._accepts
+        entries: list[AcceptEntry] = []
         current = self._start
         for token in tokens:
-            if current == self.DEAD:
-                return []
             row = labels[current]
             if row is None:
                 with self._lock:
@@ -527,7 +534,11 @@ class CompiledNFA:
                 else:
                     target = self._other[current]
             current = target
-        return list(self._accepts[current])
+            if current == self.DEAD:
+                break
+            if accepts[current]:
+                entries.extend(accepts[current])
+        return entries
 
     # ------------------------------------------------------------------
     # introspection / sizing

@@ -26,12 +26,14 @@ immutable :class:`RegistryEpoch` published through ``self._epoch``.
 Readers pin the epoch once at ``answer()`` entry and never look at
 mutable registry state again, so concurrent registrations can never
 tear a half-updated view pool through an in-flight query:
-``register_view`` / ``reopen`` / eviction build the *next* epoch beside
-the current one (copy-on-write; VFILTER grows by an immutable layer,
-see :class:`~repro.core.vfilter.LayeredVFilter`) and publish it with a
-single reference swap.  Every answer is therefore byte-identical to a
-serial execution against the consistent registry state of its pinned
-epoch.  In-place document maintenance is the one exception — it cannot
+``register_view`` / ``register_views`` / ``reopen`` / eviction build
+the *next* epoch beside the current one (copy-on-write; a single
+registration grows VFILTER by an immutable layer, see
+:class:`~repro.core.vfilter.LayeredVFilter`, a batch rebuilds it as one
+layer) and publish it with a single reference swap — one epoch per
+call, so a batch is atomic to readers.  Every answer is therefore
+byte-identical to a serial execution against the consistent registry
+state of its pinned epoch.  In-place document maintenance is the one exception — it cannot
 be snapshotted and requires external exclusion (the service layer's
 engine drains readers first; single-threaded library use needs
 nothing).
@@ -91,8 +93,9 @@ _STAGE_NAMES = (
 
 #: Collapse the layered VFILTER back into one monolithic automaton once
 #: this many single-view delta layers have accumulated (bounds per-query
-#: filter overhead at ~K cheap layer probes while keeping bulk
-#: registration linear instead of quadratic).
+#: filter overhead at ~K cheap layer probes while keeping a run of
+#: ``register_view`` calls linear instead of quadratic; a
+#: ``register_views`` batch builds one layer directly).
 _REBUILD_DELTAS = 24
 
 
@@ -281,6 +284,12 @@ class MaterializedViewSystem:
             fn=lambda: float(self._plan_counters()[1]["entries"]),
         )
         registry.gauge(
+            "repro_vfilter_layers",
+            "VFILTER layers in the live epoch (each is one Algorithm 1 "
+            "pass per cold read).",
+            fn=lambda: float(self._epoch.vfilter.compiled_stats()["layers"]),
+        )
+        registry.gauge(
             "repro_nfa_reads_compiled",
             "VFILTER token-stream reads served by compiled DFA tables "
             "(live epoch's layers).",
@@ -369,30 +378,31 @@ class MaterializedViewSystem:
     def register_view(self, view_id: str, expression: str | TreePattern) -> bool:
         """Materialize a view; returns False when the 128 KiB cap was hit
         (the view is then excluded from answering, as in the paper)."""
-        if isinstance(expression, TreePattern):
-            view = View(view_id, expression)
-        else:
-            view = View.from_xpath(view_id, expression)
         with self._mutate_lock:
-            if view.view_id in self._views:
-                raise DuplicateViewError(f"duplicate view id {view_id!r}")
-            answers = evaluate(view.pattern, self.document.tree)
-            entries = [
-                (node.dewey, node)
-                for node in answers
-                if node.dewey is not None
-            ]
-            fits = self.fragments.materialize(view_id, entries)
+            (view,) = self._prepare_views([(view_id, expression)])
+            fits = self.fragments.materialize(
+                view_id, self._answer_entries(view)
+            )
             # Counted only after _admit_view has invalidated + published
             # (its raise paths must not sit inside the mutation window).
             admitted = self._admit_view(view, fits)
             self._registrations_total.inc(1.0, "serial")
             return admitted
 
+    def _answer_entries(self, view: View) -> list[tuple[DeweyCode, XMLNode]]:
+        """The view's answer nodes over the base document, as the
+        ``(code, node)`` entries :meth:`FragmentStore.materialize` takes."""
+        return [
+            (node.dewey, node)
+            for node in evaluate(view.pattern, self.document.tree)
+            if node.dewey is not None
+        ]
+
     def _admit_view(self, view: View, fits: bool) -> bool:
-        """Shared tail of serial and parallel registration: drop stale
-        plans, then stage and publish the next epoch with the view
-        cataloged, its definition persisted and VFILTER extended.
+        """Tail of a single :meth:`register_view`: drop stale plans,
+        then stage and publish the next epoch with the view cataloged,
+        its definition persisted and VFILTER extended by one delta
+        layer (collapsed every ``_REBUILD_DELTAS`` layers).
 
         Invalidation runs *first*: the plan cache only refills through
         ``answer()``, so one drop covers every mutation of this call,
@@ -430,14 +440,17 @@ class MaterializedViewSystem:
         startup, view patterns are evaluated against the base tree in a
         process pool; the serial path is used otherwise, or when the
         pool cannot be created (sandboxes without fork support).  Both
-        paths produce byte-identical fragment stores.
+        paths produce byte-identical fragment stores and admit the
+        batch through :meth:`_admit_batch`: one published epoch with a
+        single-layer VFILTER.
         """
         items = list(expressions.items())
         if workers is None:
             workers = default_workers()
         with self._mutate_lock:
-            if workers >= 2 and len(items) >= MIN_PARALLEL_VIEWS:
-                prepared = self._prepare_views(items)
+            prepared = self._prepare_views(items)
+            encoded: dict[str, list[bytes] | None] | None = None
+            if workers >= 2 and len(prepared) >= MIN_PARALLEL_VIEWS:
                 payload = [
                     (view.view_id, view.to_xpath()) for view in prepared
                 ]
@@ -451,23 +464,17 @@ class MaterializedViewSystem:
                 except Exception:
                     # Pool unavailable or died mid-evaluation.  The pool
                     # work is pure — nothing has been admitted yet — so
-                    # the serial path below starts from a clean slate.
-                    # (The admission loop is deliberately *outside* this
-                    # try: a failure there leaves views registered, and
-                    # retrying serially would double-register them.)
+                    # the batch is evaluated serially instead.  (The
+                    # admission is deliberately *outside* this try: a
+                    # failure there leaves views registered, and
+                    # retrying would double-register them.)
                     encoded = None
-                if encoded is not None:
-                    return self._admit_encoded(prepared, encoded)
-            return [
-                view_id
-                for view_id, expression in items
-                if self.register_view(view_id, expression)
-            ]
+            return self._admit_batch(prepared, encoded)
 
     def _prepare_views(
         self, items: list[tuple[str, str | TreePattern]]
     ) -> list[View]:
-        """Parse the batch and reject duplicate ids before any work."""
+        """Parse views and reject duplicate ids before any work."""
         prepared: list[View] = []
         for view_id, expression in items:
             if isinstance(expression, TreePattern):
@@ -479,26 +486,59 @@ class MaterializedViewSystem:
             prepared.append(view)
         return prepared
 
-    def _admit_encoded(
-        self, prepared: list[View], encoded: dict[str, list[bytes] | None]
+    def _admit_batch(
+        self,
+        prepared: list[View],
+        encoded: dict[str, list[bytes] | None] | None,
     ) -> list[str]:
-        # Invalidate up front: one drop covers the whole batch (the
-        # cache refills only via answer()), and a failure mid-batch
-        # cannot leave plans derived from the pre-registration state
-        # (xmvrlint L15/L7).  Each admission publishes its own epoch, so
-        # a mid-batch failure leaves every fully admitted view visible
-        # and nothing half-registered.
+        """Materialize, persist and catalog a batch, then publish it as
+        **one** epoch whose VFILTER is a single monolithic layer.
+
+        ``encoded`` holds the pool's per-view fragment payloads; without
+        it each view is evaluated here.  Invalidation runs first: one
+        drop covers the whole batch (the cache refills only via
+        answer()), and a failure mid-batch cannot leave plans derived
+        from the pre-registration state (xmvrlint L15/L7).  When a view
+        fails, the views admitted before it are published and the error
+        re-raised, so readers see either none of the batch or a prefix
+        of it in order — never a half-registered view.
+        """
+        mode = "serial" if encoded is None else "parallel"
         with self._mutate_lock:
             self._invalidate_plans()
-            registered: list[str] = []
-            for view in prepared:
-                fits = self.fragments.materialize_encoded(
-                    view.view_id, encoded[view.view_id]
-                )
-                if self._admit_view(view, fits):
-                    registered.append(view.view_id)
-            self._registrations_total.inc(float(len(prepared)), "parallel")
-            return registered
+            epoch = self._epoch
+            materialized = list(epoch.materialized)
+            views = dict(epoch.views)
+            admitted = 0
+            try:
+                for view in prepared:
+                    if encoded is None:
+                        fits = self.fragments.materialize(
+                            view.view_id, self._answer_entries(view)
+                        )
+                    else:
+                        fits = self.fragments.materialize_encoded(
+                            view.view_id, encoded[view.view_id]
+                        )
+                    self._persist_definition(view)
+                    views[view.view_id] = view
+                    if fits:
+                        materialized.append(view)
+                    admitted += 1
+            finally:
+                if admitted:
+                    self._publish(
+                        views,
+                        tuple(materialized),
+                        LayeredVFilter.build(
+                            materialized, epoch.vfilter.attribute_pruning
+                        ),
+                    )
+                    self._registrations_total.inc(float(admitted), mode)
+            return [
+                view.view_id
+                for view in materialized[len(epoch.materialized):]
+            ]
 
     # ------------------------------------------------------------------
     # persistence

@@ -30,7 +30,7 @@ from ..xpath.transform import str_tokens
 from .nfa import DEFAULT_COMPILE_BUDGET, AcceptEntry, PathNFA
 from .view import View
 
-__all__ = ["LayeredVFilter", "VFilter", "FilterResult"]
+__all__ = ["LayeredVFilter", "VFilter", "FilterResult", "query_paths"]
 
 
 @dataclass(slots=True)
@@ -47,6 +47,18 @@ class FilterResult:
     candidates: list[str]
     lists: dict[PathPattern, list[tuple[str, int]]] = field(default_factory=dict)
     query_paths: list[PathPattern] = field(default_factory=list)
+
+
+def query_paths(query: TreePattern) -> list[PathPattern]:
+    """``D(Q)`` as a duplicate-free list in decomposition order (the
+    paper's set, with a deterministic order for ``LIST(P_i)``)."""
+    seen: set[PathPattern] = set()
+    unique_paths: list[PathPattern] = []
+    for path in decompose(query):
+        if path not in seen:
+            seen.add(path)
+            unique_paths.append(path)
+    return unique_paths
 
 
 class VFilter:
@@ -179,15 +191,14 @@ class VFilter:
         canonicalizes every equivalent spelling on the view side, and
         rewriting the query stream can only lose matches — see the
         module docstring of :mod:`repro.core.nfa`)."""
-        query_paths = decompose(query)
-        # Deduplicate (D(Q) is a set) while preserving order.
-        seen: set[PathPattern] = set()
-        unique_paths: list[PathPattern] = []
-        for path in query_paths:
-            if path not in seen:
-                seen.add(path)
-                unique_paths.append(path)
+        return self.filter_paths(query, query_paths(query))
 
+    def filter_paths(
+        self, query: TreePattern, unique_paths: list[PathPattern]
+    ) -> FilterResult:
+        """:meth:`filter` over an already decomposed query
+        (``unique_paths`` is :func:`query_paths` of ``query``), so a
+        layered filter decomposes once for all its layers."""
         # Lines 6-16: run each path, recording which of each view's
         # paths accepted something (a set, so a view path matched by two
         # query paths is not double-counted).  Wildcard view paths are
@@ -434,7 +445,9 @@ class LayeredVFilter:
     the untouched base with one extra single-view layer (an O(|view|)
     build), and the registration path collapses the stack back into a
     fresh monolithic base once the delta tuple grows past a threshold,
-    keeping per-query overhead bounded.
+    keeping per-query overhead bounded.  A batch (``register_views``)
+    builds one monolithic layer over the whole pool instead: every
+    layer is one more Algorithm 1 pass per cold read.
 
     Merging is exact: Algorithm 1's acceptance test is per view (every
     path of ``D(V)`` must contain some query path, judged only against
@@ -553,20 +566,24 @@ class LayeredVFilter:
     # ------------------------------------------------------------------
     def filter(self, query: TreePattern) -> FilterResult:
         """Run Algorithm 1 against every layer and merge (see class
-        docstring for why the merge is exact)."""
-        base_result = self.base.filter(query)
+        docstring for why the merge is exact).  The query is decomposed
+        once; every layer reads the same path list."""
+        unique_paths = query_paths(query)
+        base_result = self.base.filter_paths(query, unique_paths)
         if not self.deltas:
             return base_result
         results = [base_result]
-        results.extend(delta.filter(query) for delta in self.deltas)
+        results.extend(
+            delta.filter_paths(query, unique_paths) for delta in self.deltas
+        )
         candidates: list[str] = []
         for result in results:
             candidates.extend(result.candidates)
         lists: dict[PathPattern, list[tuple[str, int]]] = {}
-        for path in base_result.query_paths:
+        for path in unique_paths:
             merged: list[tuple[str, int]] = []
             for result in results:
                 merged.extend(result.lists.get(path, ()))
             merged.sort(key=lambda item: (-item[1], item[0]))
             lists[path] = merged
-        return FilterResult(candidates, lists, base_result.query_paths)
+        return FilterResult(candidates, lists, unique_paths)

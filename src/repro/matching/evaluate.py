@@ -98,12 +98,16 @@ class _Evaluator:
         pattern: TreePattern,
         universe: list[XMLNode],
         index: SubtreeIndex | None = None,
+        anchor: XMLNode | None = None,
     ):
         self.pattern = pattern
         self.universe = universe
         #: Optional label postings over exactly ``universe``; callers
         #: passing one guarantee ``index.nodes`` equals the universe.
         self.index = index
+        #: When given, the only host the pattern root may take (the
+        #: caller has checked it matches the root's label/constraints).
+        self.anchor = anchor
         #: pattern-node id -> set of tree nodes hosting that subtree
         self.down: dict[int, set[XMLNode]] = {}
         #: pattern-node id -> ancestor closure of its down-set
@@ -112,6 +116,8 @@ class _Evaluator:
 
     def _seed(self, pattern_node: PatternNode) -> set[XMLNode]:
         """Universe nodes matching the pattern node's label + constraints."""
+        if self.anchor is not None and pattern_node is self.pattern.root:
+            return {self.anchor}
         if self.index is not None and pattern_node.label != WILDCARD:
             posting = self.index.with_label(pattern_node.label)
             if not pattern_node.constraints:
@@ -219,14 +225,19 @@ def evaluate_relative(
     ``index``, when given, must be a :class:`SubtreeIndex` built over
     exactly ``anchor`` (fragments cache one); it replaces the per-call
     subtree scan.
+
+    The root is tested on the anchor alone: a mismatch returns at once,
+    and the root's host set is seeded with the anchor instead of every
+    subtree node that carries its label (all of them, for ``*``).
     """
+    if not _node_matches(pattern.root, anchor):
+        return set()
     if index is not None:
         subtree_nodes = index.nodes
     else:
         subtree_nodes = list(anchor.iter_subtree())
-    evaluator = _Evaluator(pattern, subtree_nodes, index)
-    hosts = evaluator.down[id(pattern.root)]
-    if anchor not in hosts:
+    evaluator = _Evaluator(pattern, subtree_nodes, index, anchor)
+    if not evaluator.down[id(pattern.root)]:
         return set()
     return evaluator.answers_from({anchor})
 

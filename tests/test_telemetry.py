@@ -281,6 +281,8 @@ def test_stats_stage_seconds_equal_histogram_sums(small_system):
         )
         # Same cells read twice: equality is exact, not approximate.
         assert (exposed or 0.0) == seconds
+    layers = parse_exposition(payload)["repro_vfilter_layers"].value()
+    assert layers == stats["vfilter"]["layers"] == 1
     assert stats["answers"] >= 2
     assert stats["warm_hits"] >= 1
 
@@ -300,9 +302,11 @@ def test_metrics_exposition_covers_the_catalog(small_system):
         "repro_views_materialized",
         "repro_plan_cache_hits",
         "repro_plan_cache_misses",
+        "repro_vfilter_layers",
     ):
         assert name in families, f"{name} missing from /metrics"
-    assert families["repro_epoch_swaps_total"].value() >= 2.0
+    # The fixture's register_views batch publishes exactly one epoch.
+    assert families["repro_epoch_swaps_total"].value() == 1.0
     assert families["repro_views_materialized"].value() == 2.0
 
 

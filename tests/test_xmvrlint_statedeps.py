@@ -537,6 +537,13 @@ SYSTEM_MUTANTS = {
         "            views = dict(epoch.views)\n",
         "            epoch = self._epoch\n            views = dict(epoch.views)\n",
     ),
+    "L15-admit_batch": (
+        "core/system.py",
+        "            self._invalidate_plans()\n            epoch = self._epoch\n"
+        "            materialized = list(epoch.materialized)\n",
+        "            epoch = self._epoch\n"
+        "            materialized = list(epoch.materialized)\n",
+    ),
     "L15-rebuild_all": (
         "delta/maintenance.py",
         "        system = self.system\n        system._invalidate_plans()\n"
