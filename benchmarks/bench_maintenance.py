@@ -227,7 +227,9 @@ def run_micro(scale: float, view_count: int, seed: int = 42) -> dict:
         answers = evaluate(view.pattern, document.tree)
         for node in answers:
             if node.dewey is not None:
-                encode_dewey(node.dewey) + encode_fragment(node)
+                encode_dewey(node.dewey) + encode_fragment(
+                    node, document.schema
+                )
         rebuilt_views += 1
     full_seconds = time.perf_counter() - started
 

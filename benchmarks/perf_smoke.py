@@ -5,13 +5,13 @@ views, plan cache disabled) that asserts *feature flags*, not timings —
 CI machines are too noisy for latency assertions, but they can verify
 that the structural optimizations are actually on the serving path:
 
-* **one layer per batch** — the bulk ``register_views`` publishes
-  exactly one epoch whose VFILTER is a single layer (a counter gate:
-  each extra layer is one more filter pass per cold read);
-* **compiled VFILTER** — every filter layer carries a compiled
-  transition table after registration (epoch publish precompiles), and
-  every cold ``answer()`` goes through the compiled read path (zero
-  set-simulation reads);
+* **one epoch per registration call** — the bulk ``register_views``
+  and a single ``register_view`` each publish exactly one epoch (a
+  counter gate: every epoch builds VFILTER over the whole pool);
+* **compiled VFILTER** — every cold ``answer()`` goes through the
+  compiled read path (zero set-simulation reads), and the lazy DFA
+  grows its rows while the cold answers run (epoch publish attaches an
+  empty table; nothing is built eagerly);
 * **packed Dewey keys** — every encoded node carries ``dewey_packed``
   in lockstep with its tuple code, and the TJ baseline's per-label
   streams are packed byte strings;
@@ -42,15 +42,18 @@ def run_smoke(scale: float = 0.2, view_count: int = 40) -> dict:
          for view in env.system.materialized_views()}
     )
 
-    # --- one epoch, one VFILTER layer per batch ------------------------
-    # Every layer is one more Algorithm 1 pass per cold read; a bulk
-    # registration that leaves a delta stack behind fails here.
+    # --- one epoch per registration call -----------------------------
     assert system.current_epoch().seq == seq + 1, (
         "register_views published more than one epoch",
         system.current_epoch().seq - seq,
     )
-    layers = system.vfilter.compiled_stats()["layers"]
-    assert layers == 1, ("register_views left a layered VFILTER", layers)
+    single = next(iter(env.system.materialized_views()))
+    seq = system.current_epoch().seq
+    system.register_view("single", single.pattern)
+    assert system.current_epoch().seq == seq + 1, (
+        "register_view did not publish exactly one epoch",
+        system.current_epoch().seq - seq,
+    )
 
     # --- packed-key feature flags -------------------------------------
     sampled = 0
@@ -63,11 +66,7 @@ def run_smoke(scale: float = 0.2, view_count: int = 40) -> dict:
     assert sampled > 0, "document has no encoded nodes"
 
     # --- compiled-VFILTER feature flags -------------------------------
-    vf_stats = system.vfilter.compiled_stats()
-    assert vf_stats["compiled_layers"] == vf_stats["layers"], (
-        "epoch publish left an uncompiled filter layer", vf_stats
-    )
-    assert vf_stats["dfa_rows"] > 0, vf_stats
+    rows_before = system.vfilter.compiled_stats()["dfa_rows"]
 
     # --- drive cold queries -------------------------------------------
     queries = build_query_mix(system, limit=12)
@@ -82,6 +81,9 @@ def run_smoke(scale: float = 0.2, view_count: int = 40) -> dict:
     elapsed = time.perf_counter() - started
 
     vf_stats = system.vfilter.compiled_stats()
+    assert vf_stats["dfa_rows"] > rows_before, (
+        "cold answers built no DFA rows", rows_before, vf_stats
+    )
     assert vf_stats["reads_compiled"] > 0, vf_stats
     assert vf_stats["reads_simulated"] == 0, (
         "a cold answer fell back to NFA set simulation", vf_stats

@@ -530,9 +530,8 @@ class ConcurrencyFacts:
                                 relpath,
                                 call.lineno,
                                 f"'{call.name}()' mutates a VFILTER "
-                                f"that may be published — deltas must "
-                                f"be built on fresh layers "
-                                f"(with_view/build)",
+                                f"that may be published — build a "
+                                f"fresh one instead (VFilter.build)",
                             )
                         )
                         continue

@@ -246,8 +246,10 @@ def check_patched_fragments(
         ((node.dewey, node) for node in answers if node.dewey is not None),
         key=lambda item: item[0],
     )
+    schema = system.document.schema
     expected = [
-        encode_dewey(code) + encode_fragment(node) for code, node in entries
+        encode_dewey(code) + encode_fragment(node, schema)
+        for code, node in entries
     ]
     if sum(len(payload) for payload in expected) > system.fragments.cap_bytes:
         raise ContractViolation(

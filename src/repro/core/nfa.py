@@ -54,10 +54,6 @@ from ..xpath.transform import DESCENDANT_TOKEN
 
 __all__ = ["PathNFA", "CompiledNFA", "AcceptEntry"]
 
-#: Default cap on eagerly built DFA rows at epoch-publish time; states
-#: beyond it are expanded lazily on first visit.
-DEFAULT_COMPILE_BUDGET = 2048
-
 
 @dataclass(frozen=True, slots=True)
 class AcceptEntry:
@@ -277,17 +273,16 @@ class PathNFA:
                 entries.extend(self._states[state_id].accepts)
         return entries
 
-    def compile(self, budget: int = DEFAULT_COMPILE_BUDGET) -> "CompiledNFA":
-        """Build (or return) the lazy-DFA transition table.
+    def compile(self) -> "CompiledNFA":
+        """Attach (or return) the lazy-DFA transition table; its rows
+        are built on first visit.
 
         Idempotent until the next :meth:`insert`, which voids the cached
-        automaton.  ``budget`` caps the number of DFA rows expanded
-        eagerly; further states are built on first visit.
+        automaton.
         """
         compiled = self._compiled
         if compiled is None:
             compiled = CompiledNFA(self._states)
-            compiled.warm(budget)
             self._compiled = compiled
         return compiled
 
@@ -366,9 +361,9 @@ class CompiledNFA:
     * ``hash`` — the target for the ``#`` token, which per the paper's
       alphabet only follows ``any_to``/``chain`` edges.
 
-    Rows are built on first visit (and eagerly up to a budget by
-    :meth:`warm`), so the table stays proportional to the state sets
-    queries actually reach — never the exponential full powerset.
+    Rows are built on first visit, so the table stays proportional to
+    the state sets queries actually reach — never the exponential full
+    powerset.
 
     Thread safety: the underlying NFA is frozen once published in an
     epoch, and all table mutation happens under ``_lock``.  The read
@@ -490,26 +485,6 @@ class CompiledNFA:
         self._labels[dfa_id] = row
         self._rows_built += 1
         return row
-
-    def warm(self, budget: int = DEFAULT_COMPILE_BUDGET) -> int:
-        """Eagerly expand up to ``budget`` DFA rows breadth-first from
-        the start state; return how many rows exist afterwards."""
-        with self._lock:
-            queue = [self._start]
-            seen = {self.DEAD, self._start}
-            while queue and self._rows_built < budget:
-                dfa_id = queue.pop(0)
-                row = self._labels[dfa_id]
-                if row is None:
-                    row = self._build_row(dfa_id)
-                successors = list(row.values())
-                successors.append(self._other[dfa_id])
-                successors.append(self._hash[dfa_id])
-                for target in successors:
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-            return self._rows_built
 
     # ------------------------------------------------------------------
     # execution (lock-free fast path)

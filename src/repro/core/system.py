@@ -27,11 +27,10 @@ Readers pin the epoch once at ``answer()`` entry and never look at
 mutable registry state again, so concurrent registrations can never
 tear a half-updated view pool through an in-flight query:
 ``register_view`` / ``register_views`` / ``reopen`` / eviction build
-the *next* epoch beside the current one (copy-on-write; a single
-registration grows VFILTER by an immutable layer, see
-:class:`~repro.core.vfilter.LayeredVFilter`, a batch rebuilds it as one
-layer) and publish it with a single reference swap — one epoch per
-call, so a batch is atomic to readers.  Every answer is therefore
+the *next* epoch beside the current one (copy-on-write: every
+publication builds one fresh :class:`~repro.core.vfilter.VFilter` over
+the answerable pool) and publish it with a single reference swap — one
+epoch per call, so a batch is atomic to readers.  Every answer is therefore
 byte-identical to a serial execution against the consistent registry
 state of its pinned epoch.  In-place document maintenance is the one exception — it cannot
 be snapshotted and requires external exclusion (the service layer's
@@ -76,7 +75,7 @@ from .selection import (
     select_heuristic,
     select_minimum,
 )
-from .vfilter import FilterResult, LayeredVFilter
+from .vfilter import FilterResult, VFilter
 from .view import View
 
 __all__ = ["AnswerOutcome", "MaterializedViewSystem", "RegistryEpoch"]
@@ -91,13 +90,6 @@ _STAGE_NAMES = (
     "vfilter", "cover", "selection", "refine", "join", "extract",
 )
 
-#: Collapse the layered VFILTER back into one monolithic automaton once
-#: this many single-view delta layers have accumulated (bounds per-query
-#: filter overhead at ~K cheap layer probes while keeping a run of
-#: ``register_view`` calls linear instead of quadratic; a
-#: ``register_views`` batch builds one layer directly).
-_REBUILD_DELTAS = 24
-
 
 @dataclass(frozen=True, slots=True)
 class RegistryEpoch:
@@ -105,8 +97,8 @@ class RegistryEpoch:
 
     Everything a reader needs hangs off the epoch: the view catalog
     (``views`` — built copy-on-write, never mutated after publication),
-    the answerable pool in registration order, the layered VFILTER and
-    the epoch's own plan cache.  A query pins one epoch at entry and is
+    the answerable pool in registration order, the VFILTER over that
+    pool and the epoch's own plan cache.  A query pins one epoch at entry and is
     thereby isolated from every later registration; cached plans can
     never leak across registry states because each epoch gets a fresh
     cache (``seq`` increases monotonically with each publication).
@@ -115,7 +107,7 @@ class RegistryEpoch:
     seq: int
     views: dict[str, View]
     materialized: tuple[View, ...]
-    vfilter: LayeredVFilter
+    vfilter: VFilter
     plan_cache: PlanCache
 
 
@@ -177,7 +169,7 @@ class MaterializedViewSystem:
     ):
         #: state: hard
         self.document = document
-        #: state: soft(derived-from=document?; rebuild=_admit_view)
+        #: state: soft(derived-from=document?; rebuild=_admit_batch)
         self.fragments = FragmentStore(store, cap_bytes=fragment_cap)
         self._plan_cache_size = plan_cache_size  #: state: hard
         self._cache_results = cache_results  #: state: hard
@@ -220,7 +212,7 @@ class MaterializedViewSystem:
             seq=0,
             views={},
             materialized=(),
-            vfilter=LayeredVFilter.build([]),
+            vfilter=VFilter.build([]),
             plan_cache=PlanCache(plan_cache_size),
         )
         # Operational counters live in the telemetry registry — the
@@ -284,15 +276,9 @@ class MaterializedViewSystem:
             fn=lambda: float(self._plan_counters()[1]["entries"]),
         )
         registry.gauge(
-            "repro_vfilter_layers",
-            "VFILTER layers in the live epoch (each is one Algorithm 1 "
-            "pass per cold read).",
-            fn=lambda: float(self._epoch.vfilter.compiled_stats()["layers"]),
-        )
-        registry.gauge(
             "repro_nfa_reads_compiled",
-            "VFILTER token-stream reads served by compiled DFA tables "
-            "(live epoch's layers).",
+            "VFILTER token-stream reads served by the compiled DFA table "
+            "(live epoch's filter).",
             fn=lambda: float(
                 self._epoch.vfilter.compiled_stats()["reads_compiled"]
             ),
@@ -300,7 +286,7 @@ class MaterializedViewSystem:
         registry.gauge(
             "repro_nfa_reads_simulated",
             "VFILTER token-stream reads that fell back to NFA set "
-            "simulation (live epoch's layers).",
+            "simulation (live epoch's filter).",
             fn=lambda: float(
                 self._epoch.vfilter.compiled_stats()["reads_simulated"]
             ),
@@ -315,7 +301,7 @@ class MaterializedViewSystem:
         return self._epoch
 
     @property
-    def vfilter(self) -> LayeredVFilter:
+    def vfilter(self) -> VFilter:
         """The current epoch's filter (read-only snapshot)."""
         return self._epoch.vfilter
 
@@ -338,7 +324,7 @@ class MaterializedViewSystem:
         self,
         views: dict[str, View],
         materialized: tuple[View, ...],
-        vfilter: LayeredVFilter,
+        vfilter: VFilter,
     ) -> None:
         """Swap in the next epoch (callers hold ``_mutate_lock``).
 
@@ -348,11 +334,10 @@ class MaterializedViewSystem:
         cache that is mid-retirement.  Readers that pinned the retiring
         epoch keep using it untouched — publication never blocks them.
 
-        The incoming filter's transition tables are compiled here, at
-        publish time, so cold queries against the new epoch take the
-        one-probe-per-token path instead of NFA set simulation.  Layers
-        shared with the retiring epoch keep their existing tables
-        (compilation is an idempotent per-layer cache).
+        The incoming filter gets its (empty) compiled transition table
+        here, at publish time, so cold queries against the new epoch
+        take the one-probe-per-token path instead of NFA set
+        simulation; each DFA row is built on first visit.
         """
         with current_trace().span("epoch_publish") as span:
             vfilter.precompile()
@@ -377,17 +362,11 @@ class MaterializedViewSystem:
     #: state: mutator
     def register_view(self, view_id: str, expression: str | TreePattern) -> bool:
         """Materialize a view; returns False when the 128 KiB cap was hit
-        (the view is then excluded from answering, as in the paper)."""
+        (the view is then excluded from answering, as in the paper).
+        A one-view :meth:`register_views` batch on the serial path."""
         with self._mutate_lock:
-            (view,) = self._prepare_views([(view_id, expression)])
-            fits = self.fragments.materialize(
-                view_id, self._answer_entries(view)
-            )
-            # Counted only after _admit_view has invalidated + published
-            # (its raise paths must not sit inside the mutation window).
-            admitted = self._admit_view(view, fits)
-            self._registrations_total.inc(1.0, "serial")
-            return admitted
+            prepared = self._prepare_views([(view_id, expression)])
+            return self._admit_batch(prepared, None) == [view_id]
 
     def _answer_entries(self, view: View) -> list[tuple[DeweyCode, XMLNode]]:
         """The view's answer nodes over the base document, as the
@@ -397,35 +376,6 @@ class MaterializedViewSystem:
             for node in evaluate(view.pattern, self.document.tree)
             if node.dewey is not None
         ]
-
-    def _admit_view(self, view: View, fits: bool) -> bool:
-        """Tail of a single :meth:`register_view`: drop stale plans,
-        then stage and publish the next epoch with the view cataloged,
-        its definition persisted and VFILTER extended by one delta
-        layer (collapsed every ``_REBUILD_DELTAS`` layers).
-
-        Invalidation runs *first*: the plan cache only refills through
-        ``answer()``, so one drop covers every mutation of this call,
-        and an exception from persistence or VFILTER extension cannot
-        leave cached plans derived from the pre-registration state
-        (xmvrlint L7).  In-flight readers pinned to the previous epoch
-        are untouched — they never see the half-built successor.
-        """
-        with self._mutate_lock:
-            self._invalidate_plans()
-            epoch = self._epoch
-            views = dict(epoch.views)
-            views[view.view_id] = view
-            self._persist_definition(view)
-            materialized = epoch.materialized
-            vfilter = epoch.vfilter
-            if fits:
-                materialized = materialized + (view,)
-                vfilter = vfilter.with_view(view)
-                if vfilter.delta_count >= _REBUILD_DELTAS:
-                    vfilter = vfilter.collapsed()
-            self._publish(views, materialized, vfilter)
-            return fits
 
     #: state: mutator
     def register_views(
@@ -441,8 +391,8 @@ class MaterializedViewSystem:
         process pool; the serial path is used otherwise, or when the
         pool cannot be created (sandboxes without fork support).  Both
         paths produce byte-identical fragment stores and admit the
-        batch through :meth:`_admit_batch`: one published epoch with a
-        single-layer VFILTER.
+        batch through :meth:`_admit_batch`: one published epoch with one
+        VFILTER over the whole pool.
         """
         items = list(expressions.items())
         if workers is None:
@@ -492,7 +442,7 @@ class MaterializedViewSystem:
         encoded: dict[str, list[bytes] | None] | None,
     ) -> list[str]:
         """Materialize, persist and catalog a batch, then publish it as
-        **one** epoch whose VFILTER is a single monolithic layer.
+        **one** epoch whose VFILTER is built over the whole pool.
 
         ``encoded`` holds the pool's per-view fragment payloads; without
         it each view is evaluated here.  Invalidation runs first: one
@@ -514,7 +464,9 @@ class MaterializedViewSystem:
                 for view in prepared:
                     if encoded is None:
                         fits = self.fragments.materialize(
-                            view.view_id, self._answer_entries(view)
+                            view.view_id,
+                            self._answer_entries(view),
+                            self.document.schema,
                         )
                     else:
                         fits = self.fragments.materialize_encoded(
@@ -530,7 +482,7 @@ class MaterializedViewSystem:
                     self._publish(
                         views,
                         tuple(materialized),
-                        LayeredVFilter.build(
+                        VFilter.build(
                             materialized, epoch.vfilter.attribute_pruning
                         ),
                     )
@@ -599,7 +551,7 @@ class MaterializedViewSystem:
             # exception out of the filter build cannot strand plans).
             system._invalidate_plans()
             system._publish(
-                views, tuple(materialized), LayeredVFilter.build(materialized)
+                views, tuple(materialized), VFilter.build(materialized)
             )
         return system
 
@@ -615,7 +567,7 @@ class MaterializedViewSystem:
 
     def _evict_materialized(self, view_ids: Iterable[str]) -> None:
         """Remove views from the answerable pool (they stay cataloged)
-        and publish an epoch with a rebuilt monolithic VFILTER.  Used
+        and publish an epoch with a rebuilt VFILTER.  Used
         by document maintenance when a refreshed view outgrows the
         fragment cap or fails to re-materialize.
         """
@@ -628,7 +580,7 @@ class MaterializedViewSystem:
                 for view in epoch.materialized
                 if view.view_id not in gone
             )
-            vfilter = LayeredVFilter.build(
+            vfilter = VFilter.build(
                 list(materialized), epoch.vfilter.attribute_pruning
             )
             self._publish(epoch.views, materialized, vfilter)

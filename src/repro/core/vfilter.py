@@ -27,10 +27,10 @@ from ..storage.serialize import encode_text, encode_varint
 from ..xpath.decompose import decompose
 from ..xpath.pattern import PathPattern, TreePattern
 from ..xpath.transform import str_tokens
-from .nfa import DEFAULT_COMPILE_BUDGET, AcceptEntry, PathNFA
+from .nfa import AcceptEntry, PathNFA
 from .view import View
 
-__all__ = ["LayeredVFilter", "VFilter", "FilterResult", "query_paths"]
+__all__ = ["VFilter", "FilterResult", "query_paths"]
 
 
 @dataclass(slots=True)
@@ -69,6 +69,11 @@ class VFilter:
     paper's Section VII proposes ("incorporate attributes into VFILTER
     to gain further pruning power").  It is a necessary condition for a
     homomorphism, so soundness is preserved.
+
+    A registry epoch (``core.system``) publishes one filter built by
+    :meth:`build` over its whole answerable pool and never mutates it
+    afterwards, so concurrent readers can walk the NFA while the next
+    epoch's filter is being built beside it.
     """
 
     def __init__(self, attribute_pruning: bool = True) -> None:
@@ -121,6 +126,15 @@ class VFilter:
     def add_views(self, views: list[View]) -> None:
         for view in views:
             self.add_view(view)
+
+    @classmethod
+    def build(
+        cls, views: list[View], attribute_pruning: bool = True
+    ) -> "VFilter":
+        """One automaton over ``views``, in their order."""
+        vfilter = cls(attribute_pruning=attribute_pruning)
+        vfilter.add_views(views)
+        return vfilter
 
     @property
     def view_count(self) -> int:
@@ -191,14 +205,7 @@ class VFilter:
         canonicalizes every equivalent spelling on the view side, and
         rewriting the query stream can only lose matches — see the
         module docstring of :mod:`repro.core.nfa`)."""
-        return self.filter_paths(query, query_paths(query))
-
-    def filter_paths(
-        self, query: TreePattern, unique_paths: list[PathPattern]
-    ) -> FilterResult:
-        """:meth:`filter` over an already decomposed query
-        (``unique_paths`` is :func:`query_paths` of ``query``), so a
-        layered filter decomposes once for all its layers."""
+        unique_paths = query_paths(query)
         # Lines 6-16: run each path, recording which of each view's
         # paths accepted something (a set, so a view path matched by two
         # query paths is not double-counted).  Wildcard view paths are
@@ -265,19 +272,18 @@ class VFilter:
     # ------------------------------------------------------------------
     # compiled transition table
     # ------------------------------------------------------------------
-    def precompile(self, budget: int = DEFAULT_COMPILE_BUDGET) -> None:
-        """Compile the NFA into its lazy-DFA transition table (see
+    def precompile(self) -> None:
+        """Attach the NFA's lazy-DFA transition table (see
         :class:`repro.core.nfa.CompiledNFA`).  Called at epoch-publish
-        time so steady-state :meth:`filter` calls cost one dict probe
-        per token instead of a set-simulation pass.  Idempotent; voided
-        automatically by :meth:`add_view`."""
-        self.nfa.compile(budget)
+        time so :meth:`filter` calls take the one-probe-per-token path
+        instead of a set-simulation pass; rows are built on first
+        visit.  Idempotent; voided automatically by :meth:`add_view`."""
+        self.nfa.compile()
 
     def compiled_stats(self) -> dict[str, int]:
         """Counters for the compiled path (stats / CI feature checks)."""
         compiled = self.nfa.compiled
         return {
-            "compiled_layers": 1 if compiled is not None else 0,
             "dfa_states": compiled.state_count if compiled is not None else 0,
             "dfa_rows": compiled.rows_built if compiled is not None else 0,
             "dfa_table_entries": (
@@ -293,12 +299,6 @@ class VFilter:
     def stored_bytes(self) -> int:
         """In-memory serialized size estimate of the automaton."""
         return self.nfa.stored_bytes()
-
-    def frozen(self) -> "LayeredVFilter":
-        """Wrap this filter as the base layer of an immutable
-        :class:`LayeredVFilter` (the caller promises not to call
-        :meth:`add_view` afterwards)."""
-        return LayeredVFilter(self)
 
     def save(self, store: KVStore, include_definitions: bool = True) -> int:
         """Persist the automaton into ``store`` (one record per state,
@@ -431,159 +431,3 @@ class VFilter:
                         vfilter._wc_max_length, path.length
                     )
         return vfilter
-
-
-class LayeredVFilter:
-    """An immutable stack of :class:`VFilter` layers: one frozen *base*
-    plus a tuple of single-view *deltas*.
-
-    The epoch-snapshot design (``core.system``) needs a filter that is
-    never mutated after an epoch is published — concurrent readers walk
-    the NFA while registrations land — yet cheap to extend: rebuilding a
-    1000-view automaton per ``register_view`` would make bulk loading
-    quadratic.  A layered filter gives both: registering a view wraps
-    the untouched base with one extra single-view layer (an O(|view|)
-    build), and the registration path collapses the stack back into a
-    fresh monolithic base once the delta tuple grows past a threshold,
-    keeping per-query overhead bounded.  A batch (``register_views``)
-    builds one monolithic layer over the whole pool instead: every
-    layer is one more Algorithm 1 pass per cold read.
-
-    Merging is exact: Algorithm 1's acceptance test is per view (every
-    path of ``D(V)`` must contain some query path, judged only against
-    that view's own paths), so filtering each layer independently and
-    concatenating yields the same candidate set as one monolithic
-    automaton.  Candidate order is base order followed by delta order —
-    i.e. global registration order, exactly what the monolithic filter
-    produces — and the per-path ``LIST(P_i)`` entries are merged and
-    re-sorted by ``(-length, view_id)``, the same deterministic key.
-    """
-
-    __slots__ = ("base", "deltas")
-
-    def __init__(
-        self, base: VFilter, deltas: tuple[VFilter, ...] = ()
-    ) -> None:
-        self.base = base  #: state: hard
-        self.deltas = deltas  #: state: hard
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls, views: list[View], attribute_pruning: bool = True
-    ) -> "LayeredVFilter":
-        """A collapsed (single-layer) filter over ``views``."""
-        base = VFilter(attribute_pruning=attribute_pruning)
-        base.add_views(views)
-        return cls(base)
-
-    def with_view(self, view: View) -> "LayeredVFilter":
-        """A new filter extended by one view; ``self`` is untouched."""
-        delta = VFilter(attribute_pruning=self.attribute_pruning)
-        delta.add_view(view)
-        return LayeredVFilter(self.base, self.deltas + (delta,))
-
-    def collapsed(self) -> "LayeredVFilter":
-        """Rebuild as a single monolithic layer (same view order)."""
-        return self.build(self.views(), self.attribute_pruning)
-
-    # ------------------------------------------------------------------
-    # VFilter-compatible read API
-    # ------------------------------------------------------------------
-    @property
-    def attribute_pruning(self) -> bool:
-        return self.base.attribute_pruning
-
-    @property
-    def delta_count(self) -> int:
-        return len(self.deltas)
-
-    @property
-    def view_count(self) -> int:
-        return self.base.view_count + sum(
-            delta.view_count for delta in self.deltas
-        )
-
-    def view(self, view_id: str) -> View:
-        for layer in self._layers():
-            try:
-                return layer.view(view_id)
-            except KeyError:
-                continue
-        raise KeyError(view_id)
-
-    def views(self) -> list[View]:
-        collected: list[View] = []
-        for layer in self._layers():
-            collected.extend(layer.views())
-        return collected
-
-    def stored_bytes(self) -> int:
-        return sum(layer.stored_bytes() for layer in self._layers())
-
-    def precompile(self, budget: int = DEFAULT_COMPILE_BUDGET) -> None:
-        """Compile every layer's transition table (idempotent).
-
-        Mutation-wise this only populates per-layer caches guarded by
-        their own locks, so calling it on a published (shared) filter is
-        safe — layers already compiled by a previous epoch are reused.
-        """
-        for layer in self._layers():
-            layer.precompile(budget)
-
-    def compiled_stats(self) -> dict[str, int]:
-        """Aggregate compiled-path counters across layers."""
-        totals = {
-            "layers": 0,
-            "compiled_layers": 0,
-            "dfa_states": 0,
-            "dfa_rows": 0,
-            "dfa_table_entries": 0,
-            "reads_compiled": 0,
-            "reads_simulated": 0,
-        }
-        for layer in self._layers():
-            totals["layers"] += 1
-            for key, value in layer.compiled_stats().items():
-                totals[key] += value
-        return totals
-
-    def _layers(self) -> tuple[VFilter, ...]:
-        return (self.base,) + self.deltas
-
-    def accepting_views(self, labels: tuple[str, ...]) -> set[str]:
-        """Union of :meth:`VFilter.accepting_views` over the stack
-        (each view lives in exactly one layer, so the union is exact)."""
-        accepted: set[str] = set()
-        for layer in self._layers():
-            accepted |= layer.accepting_views(labels)
-        return accepted
-
-    # ------------------------------------------------------------------
-    # Algorithm 1 over the stack
-    # ------------------------------------------------------------------
-    def filter(self, query: TreePattern) -> FilterResult:
-        """Run Algorithm 1 against every layer and merge (see class
-        docstring for why the merge is exact).  The query is decomposed
-        once; every layer reads the same path list."""
-        unique_paths = query_paths(query)
-        base_result = self.base.filter_paths(query, unique_paths)
-        if not self.deltas:
-            return base_result
-        results = [base_result]
-        results.extend(
-            delta.filter_paths(query, unique_paths) for delta in self.deltas
-        )
-        candidates: list[str] = []
-        for result in results:
-            candidates.extend(result.candidates)
-        lists: dict[PathPattern, list[tuple[str, int]]] = {}
-        for path in unique_paths:
-            merged: list[tuple[str, int]] = []
-            for result in results:
-                merged.extend(result.lists.get(path, ()))
-            merged.sort(key=lambda item: (-item[1], item[0]))
-            lists[path] = merged
-        return FilterResult(candidates, lists, unique_paths)

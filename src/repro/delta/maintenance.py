@@ -47,12 +47,8 @@ from ..core.view import View
 from ..errors import EncodingError, SchemaError
 from ..matching.evaluate import evaluate
 from ..obs import current_trace
-from ..xmltree.builder import encode_tree
-from ..xmltree.dewey import (
-    DeweyCode,
-    assign_child_component,
-    pack_component,
-)
+from ..xmltree.builder import encode_tree, stamp_codes
+from ..xmltree.dewey import DeweyCode, assign_child_component
 from ..xmltree.tree import XMLNode
 from .delta import SubtreeDelta
 from .patcher import FragmentPatcher
@@ -316,6 +312,7 @@ class DocumentEditor:
                                 for n in answers
                                 if n.dewey is not None
                             ],
+                            system.document.schema,
                         )
             except BaseException:
                 # The fragments may be gone or torn; a view left in the
@@ -405,6 +402,7 @@ class DocumentEditor:
                 fits = system.fragments.materialize(
                     view.view_id,
                     [(n.dewey, n) for n in answers if n.dewey is not None],
+                    system.document.schema,
                 )
             except BaseException:
                 self._evict_views([view.view_id])
@@ -449,28 +447,10 @@ class DocumentEditor:
             if sibling.dewey is not None:
                 previous = sibling.dewey[-1]
         assert parent.dewey is not None
-        assert parent.dewey_packed is not None
         component = assign_child_component(
             schema, parent.label, subtree.label, previous
         )
-        subtree.dewey = parent.dewey + (component,)
-        subtree.dewey_packed = parent.dewey_packed + pack_component(component)
-        stack = [subtree]
-        while stack:
-            current = stack.pop()
-            last: int | None = None
-            for child in current.children:
-                assert current.dewey is not None
-                assert current.dewey_packed is not None
-                child_component = assign_child_component(
-                    schema, current.label, child.label, last
-                )
-                last = child_component
-                child.dewey = current.dewey + (child_component,)
-                child.dewey_packed = (
-                    current.dewey_packed + pack_component(child_component)
-                )
-                stack.append(child)
+        stamp_codes(subtree, parent.dewey + (component,), schema)
 
     def _full_reencode(self) -> None:
         document = self.system.document

@@ -56,6 +56,7 @@ class FragmentPatcher:
         fits and must leave the answerable pool.
         """
         low, high = delta.packed_range()
+        schema = self.document.schema
         merged: list[tuple[PackedCode, bytes]] = []
         for fragment in self.fragments.fragments(view.view_id):
             packed = fragment.packed
@@ -68,7 +69,11 @@ class FragmentPatcher:
                         f"fragment root {fragment.code} vanished during patch"
                     )
                 merged.append(
-                    (packed, encode_dewey(fragment.code) + encode_fragment(live))
+                    (
+                        packed,
+                        encode_dewey(fragment.code)
+                        + encode_fragment(live, schema),
+                    )
                 )
             else:
                 merged.append((packed, fragment.payload))
@@ -83,7 +88,8 @@ class FragmentPatcher:
                     merged.append(
                         (
                             packed_node,
-                            encode_dewey(node.dewey) + encode_fragment(node),
+                            encode_dewey(node.dewey)
+                            + encode_fragment(node, schema),
                         )
                     )
         merged.sort(key=lambda item: item[0])

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.vfilter import LayeredVFilter, VFilter
+from ..core.vfilter import VFilter
 from ..core.view import View
 from ..storage.fragments import FragmentStore
 from ..xmltree.dewey import packed_is_prefix
@@ -90,7 +90,7 @@ class AffectedViews:
 
 def resolve_affected(
     delta: SubtreeDelta,
-    vfilter: VFilter | LayeredVFilter,
+    vfilter: VFilter,
     fragments: FragmentStore,
     views: list[View],
 ) -> AffectedViews:

@@ -10,12 +10,20 @@ bundles the tree, schema and FST — the triple every downstream component
 
 from __future__ import annotations
 
-from .dewey import DeweyCode, assign_child_component, pack_component
+from typing import Mapping
+
+from .dewey import (
+    DeweyCode,
+    PackedCode,
+    assign_child_component,
+    pack_code,
+    pack_component,
+)
 from .fst import FiniteStateTransducer
 from .schema import DocumentSchema
 from .tree import XMLNode, XMLTree
 
-__all__ = ["EncodedDocument", "encode_tree"]
+__all__ = ["EncodedDocument", "encode_tree", "stamp_codes"]
 
 
 class EncodedDocument:
@@ -85,23 +93,43 @@ def encode_tree(
     """
     if schema is None:
         schema = DocumentSchema.from_tree(tree)
+    stamp_codes(tree.root, (0,), schema)
+    return EncodedDocument(tree, schema)
 
-    tree.root.dewey = (0,)
-    tree.root.dewey_packed = pack_component(0)
-    # Iterative DFS; each stack entry is a node whose children still need
-    # codes.  Components are assigned in sibling order.
-    stack: list[XMLNode] = [tree.root]
+
+def stamp_codes(
+    root: XMLNode,
+    code: DeweyCode,
+    schema: DocumentSchema,
+    components: Mapping[XMLNode, int] | None = None,
+) -> None:
+    """Stamp extended Dewey codes onto ``root``'s subtree; ``root``
+    itself receives ``code``.
+
+    A child listed in ``components`` keeps the component given there
+    (a sibling before it was deleted, see
+    :func:`repro.storage.serialize.encode_fragment`); every other child
+    gets the one :func:`assign_child_component` derives from its
+    previous sibling's, in sibling order.  The root is stamped last, so
+    a reader that sees ``root.dewey == code`` sees every descendant's
+    code too.
+    """
+    packed = pack_code(code)
+    stack: list[tuple[XMLNode, DeweyCode, PackedCode]] = [(root, code, packed)]
     while stack:
-        parent = stack.pop()
+        parent, parent_code, parent_packed = stack.pop()
         previous: int | None = None
         for child in parent.children:
-            component = assign_child_component(
-                schema, parent.label, child.label, previous
-            )
+            component = components.get(child) if components else None
+            if component is None:
+                component = assign_child_component(
+                    schema, parent.label, child.label, previous
+                )
             previous = component
-            assert parent.dewey is not None
-            assert parent.dewey_packed is not None
-            child.dewey = parent.dewey + (component,)
-            child.dewey_packed = parent.dewey_packed + pack_component(component)
-            stack.append(child)
-    return EncodedDocument(tree, schema)
+            child_code = parent_code + (component,)
+            child_packed = parent_packed + pack_component(component)
+            child.dewey = child_code
+            child.dewey_packed = child_packed
+            stack.append((child, child_code, child_packed))
+    root.dewey_packed = packed
+    root.dewey = code

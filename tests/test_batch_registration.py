@@ -1,4 +1,4 @@
-"""register_views is one epoch: atomic to readers, one VFILTER layer.
+"""register_views is one epoch: atomic to readers, one VFILTER build.
 
 Every test runs on the serial path (``workers=0``) and on the pool
 path (``MIN_PARALLEL_VIEWS`` lowered to 1, two workers).
@@ -13,6 +13,7 @@ import pytest
 
 import repro.core.system as system_module
 from repro import MaterializedViewSystem, ViewNotAnswerableError, encode_tree, parse_xml
+from repro.core.vfilter import VFilter
 from repro.storage import KVStore
 from repro.xpath.parser import parse_xpath
 
@@ -63,21 +64,33 @@ def _counted(system: MaterializedViewSystem, workers: int) -> int:
     return system.stats()["views"][f"registered_{mode}"]
 
 
+def _assert_same_filtering(ours: VFilter, theirs: VFilter) -> None:
+    for query in QUERIES:
+        pattern = parse_xpath(query)
+        mine, other = ours.filter(pattern), theirs.filter(pattern)
+        assert mine.candidates == other.candidates
+        assert mine.lists == other.lists
+
+
+def _assert_filter_is_one_build(system: MaterializedViewSystem) -> None:
+    """The published VFILTER filters exactly like ``VFilter.build`` over
+    the epoch's answerable pool."""
+    _assert_same_filtering(
+        system.vfilter, VFilter.build(system.materialized_views())
+    )
+
+
 def test_batch_publishes_one_epoch_with_one_layer(workers):
     system = _system()
-    # Two single registrations leave a delta stack behind.
     system.register_view("A1", "//t")
     system.register_view("A2", "//p")
-    assert system.vfilter.delta_count == 2
     seq, swaps = system.current_epoch().seq, _swaps(system)
     counted = _counted(system, workers)
     registered = system.register_views(dict(BATCH), workers=workers)
     assert registered == list(BATCH)
     assert system.current_epoch().seq == seq + 1
     assert _swaps(system) == swaps + 1
-    assert system.vfilter.delta_count == 0
-    assert system.vfilter.compiled_stats()["layers"] == 1
-    assert system.stats()["vfilter"]["layers"] == 1
+    _assert_filter_is_one_build(system)
     assert _counted(system, workers) == counted + len(BATCH)
     for query in ANSWERABLE:
         assert system.answer(query).codes == system.direct_codes(query)
@@ -159,7 +172,7 @@ def test_mid_batch_failure_publishes_the_admitted_prefix(workers, monkeypatch):
     assert [view.view_id for view in system.materialized_views()] == [
         "A1", "B1", "B2",
     ]
-    assert system.vfilter.compiled_stats()["layers"] == 1
+    _assert_filter_is_one_build(system)
     assert _counted(system, workers) == counted + 2
     for query in ("s[t]/p", "s[p]/f"):
         assert system.answer(query).codes == system.direct_codes(query)
@@ -176,10 +189,23 @@ def test_candidates_equal_those_after_reopen(workers):
     system = _system(store=store)
     system.register_views(dict(BATCH), workers=workers)
     reopened = MaterializedViewSystem.reopen(system.document, store)
-    assert reopened.vfilter.compiled_stats()["layers"] == 1
-    for query in QUERIES:
-        pattern = parse_xpath(query)
-        ours = system.vfilter.filter(pattern)
-        theirs = reopened.vfilter.filter(pattern)
-        assert ours.candidates == theirs.candidates
-        assert ours.lists == theirs.lists
+    _assert_same_filtering(system.vfilter, reopened.vfilter)
+
+
+def test_single_registration_publishes_one_epoch():
+    """Each ``register_view`` is a one-view batch: one epoch, and a
+    filter equal to ``VFilter.build`` over the pool and to reopen's."""
+    store = KVStore()
+    system = _system(store=store)
+    counted = _counted(system, 0)
+    for view_id, expression in BATCH.items():
+        seq, swaps = system.current_epoch().seq, _swaps(system)
+        assert system.register_view(view_id, expression)
+        assert system.current_epoch().seq == seq + 1
+        assert _swaps(system) == swaps + 1
+        _assert_filter_is_one_build(system)
+    assert _counted(system, 0) == counted + len(BATCH)
+    reopened = MaterializedViewSystem.reopen(system.document, store)
+    _assert_same_filtering(system.vfilter, reopened.vfilter)
+    for query in ANSWERABLE:
+        assert system.answer(query).codes == system.direct_codes(query)

@@ -27,15 +27,16 @@ import random
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import MaterializedViewSystem, encode_tree
 from repro.delta import DocumentEditor, SubtreeDelta, resolve_affected
 from repro.matching import evaluate
 from repro.service.engine import SnapshotEngine
+from repro.storage import KVStore
 from repro.storage.serialize import encode_dewey, encode_fragment
-from repro.xmltree import XMLNode, build_tree
+from repro.xmltree import XMLNode, build_tree, parse_xml
 
 from conftest import random_pattern, random_tree
 
@@ -60,7 +61,11 @@ def _expected_payloads(system: MaterializedViewSystem, view) -> list[bytes]:
         ((n.dewey, n) for n in answers if n.dewey is not None),
         key=lambda item: item[0],
     )
-    return [encode_dewey(code) + encode_fragment(node) for code, node in entries]
+    schema = system.document.schema
+    return [
+        encode_dewey(code) + encode_fragment(node, schema)
+        for code, node in entries
+    ]
 
 
 def _stored_payloads(system: MaterializedViewSystem, view_id: str) -> list[bytes]:
@@ -357,6 +362,41 @@ def test_maintenance_stats_surface_in_system_stats():
 
 
 # ----------------------------------------------------------------------
+# deletes keep the later siblings' codes
+# ----------------------------------------------------------------------
+def test_delete_keeps_later_sibling_codes_in_answers():
+    """Deletes do not renumber: the third ``c`` keeps ``(0, 0, 2)``, and
+    answers extracted from the patched ``/a/b[c]`` fragment say so."""
+    system = MaterializedViewSystem(
+        encode_tree(parse_xml("<a><b><c/><c/><c/></b></a>"))
+    )
+    system.register_view("V", "/a/b[c]")
+    DocumentEditor(system).delete_subtree(system.direct_codes("/a/b/c")[1])
+    assert system.direct_codes("/a/b/c") == [(0, 0, 0), (0, 0, 2)]
+    assert system.answer("/a/b/c").codes == [(0, 0, 0), (0, 0, 2)]
+
+
+def test_delete_then_insert_keeps_codes_through_rebuild_and_reopen():
+    """A rebuilt view, a later insert after the gap, and a reopened
+    store all carry the surviving codes."""
+    store = KVStore()
+    system = MaterializedViewSystem(
+        encode_tree(parse_xml("<a><b><c/><d/><c/><c/></b><b><c/></b></a>")),
+        store=store,
+    )
+    system.register_view("V", "//b[d]")
+    system.register_view("W", "/a/b")
+    editor = DocumentEditor(system)
+    editor.delete_subtree(system.direct_codes("/a/b/c")[1])
+    editor.insert_subtree((0, 0), XMLNode("c"))
+    expected = system.direct_codes("/a/b/c")
+    for query in ("/a/b/c", "//b[d]/c", "/a/b[c]/d"):
+        assert system.answer(query).codes == system.direct_codes(query)
+    reopened = MaterializedViewSystem.reopen(system.document, store)
+    assert reopened.answer("/a/b/c").codes == expected
+
+
+# ----------------------------------------------------------------------
 # property: random edit sequences keep every view byte-identical
 # ----------------------------------------------------------------------
 @settings(
@@ -365,6 +405,7 @@ def test_maintenance_stats_surface_in_system_stats():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.integers(0, 10**9))
+@example(636339)  # deletes a node with a later sibling inside a fragment
 def test_random_edit_sequences_keep_views_byte_identical(seed):
     rng = random.Random(seed)
     tree = random_tree(rng, max_nodes=25, max_depth=4)

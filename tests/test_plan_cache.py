@@ -289,6 +289,32 @@ def test_parallel_registration_matches_serial(monkeypatch):
     )
     assert parallel.stats()["views"]["registered_parallel"] == len(views)
 
+    # After a delete the later siblings keep their codes (no
+    # renumbering); the pool must store those codes, as the serial path
+    # and direct evaluation do.
+    def edited() -> MaterializedViewSystem:
+        system = MaterializedViewSystem(
+            encode_tree(parse_xml("<a>" + "<b><c/><c/><c/></b>" * 3 + "</a>"))
+        )
+        DocumentEditor(system).delete_subtree(system.direct_codes("/a/b/c")[1])
+        return system
+
+    after = {"C": "/a/b/c", "B": "/a/b[c]"}
+    serial, parallel = edited(), edited()
+    serial.register_views(dict(after), workers=0)
+    parallel.register_views(dict(after), workers=2)
+    assert parallel.stats()["views"]["registered_parallel"] == len(after)
+    expected = serial.direct_codes("/a/b/c")
+    assert expected[:2] == [(0, 0, 0), (0, 0, 2)]
+    assert parallel.fragments.codes("C") == serial.fragments.codes("C") == expected
+    for view_id in after:
+        assert [f.payload for f in parallel.fragments.fragments(view_id)] == [
+            f.payload for f in serial.fragments.fragments(view_id)
+        ]
+    for system in (serial, parallel):
+        assert system.answer("/a/b/c").codes == expected
+        assert system.answer("/a/b/c", "MV").codes == expected
+
 
 def test_register_views_serial_below_threshold():
     system = _twin_system()

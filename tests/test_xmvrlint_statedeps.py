@@ -531,18 +531,18 @@ SYSTEM_MUTANTS = {
 """,
     # Deletion mutants, (file under src/repro, text, replacement): each
     # drops a plan-cache invalidation that follows a fragment write.
-    "L15-admit_view": (
-        "core/system.py",
-        "            self._invalidate_plans()\n            epoch = self._epoch\n"
-        "            views = dict(epoch.views)\n",
-        "            epoch = self._epoch\n            views = dict(epoch.views)\n",
-    ),
     "L15-admit_batch": (
         "core/system.py",
         "            self._invalidate_plans()\n            epoch = self._epoch\n"
         "            materialized = list(epoch.materialized)\n",
         "            epoch = self._epoch\n"
         "            materialized = list(epoch.materialized)\n",
+    ),
+    "L15-apply_impacts": (
+        "delta/maintenance.py",
+        "        dropped, retained = system._invalidate_plans("
+        "impacts.affected_ids())\n",
+        "        dropped, retained = 0, 0\n",
     ),
     "L15-rebuild_all": (
         "delta/maintenance.py",
