@@ -81,9 +81,9 @@ def refine_unit(
     pattern, skipped = plan if plan is not None else compensation_plan(unit, query)
     if skipped:
         return RefinedUnit(unit, pattern, list(fragments), True)
-    surviving = [
-        fragment
-        for fragment in fragments
-        if satisfies_relative(pattern, fragment.root, fragment.subtree_index())
-    ]
+    surviving: list[Fragment] = []
+    for fragment in fragments:
+        index = fragment.subtree_index()
+        if satisfies_relative(pattern, index.root, index):
+            surviving.append(fragment)
     return RefinedUnit(unit, pattern, surviving, False)

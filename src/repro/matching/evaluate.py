@@ -37,23 +37,20 @@ class SubtreeIndex:
     Built once per materialized fragment and cached on it, so repeated
     compensating-pattern evaluations (refinement, extraction) seed each
     pattern node from its label's posting list instead of rescanning
-    and label-testing the whole subtree.  ``nodes[0]`` is the subtree
-    root.  Postings are in document order; the evaluator only uses them
+    and label-testing the whole subtree.  ``root`` (also ``nodes[0]``)
+    is the subtree root.  Postings are in document order; the evaluator only uses them
     as sets, so order is not load-bearing.
     """
 
-    __slots__ = ("nodes", "_by_label")
+    __slots__ = ("root", "nodes", "_by_label")
 
     def __init__(self, root: XMLNode):
+        self.root = root
         self.nodes = list(root.iter_subtree())
         by_label: dict[str, list[XMLNode]] = {}
         for node in self.nodes:
             by_label.setdefault(node.label, []).append(node)
         self._by_label = by_label
-
-    @property
-    def root(self) -> XMLNode:
-        return self.nodes[0]
 
     def with_label(self, label: str) -> list[XMLNode]:
         return self._by_label.get(label, [])

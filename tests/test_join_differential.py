@@ -151,7 +151,9 @@ def _random_join_case(rng: random.Random):
             if (WILDCARD in labels or node.label in labels)
             and rng.random() < 0.8
         ]
-        store.materialize(view_id, [(node.dewey, node) for node in chosen])
+        store.materialize(
+            view_id, [(node.dewey, node) for node in chosen], document.schema
+        )
         view_fragments[view_id] = store.fragments(view_id)
     units = []
     for view_id, anchor in picks:
@@ -198,7 +200,9 @@ def test_join_units_same_view_self_join_with_descendant_skeleton():
     query = TreePattern(query_root, star)
     store = FragmentStore()
     store.materialize(
-        "V", [(node.dewey, node) for node in document.tree.iter_nodes()]
+        "V",
+        [(node.dewey, node) for node in document.tree.iter_nodes()],
+        document.schema,
     )
     fragments = store.fragments("V")
     view = View.from_xpath("V", "//*")

@@ -19,9 +19,19 @@ from repro.storage import (
     encode_text,
     encode_varint,
 )
-from repro.xmltree import XMLNode, build_tree
+from repro.xmltree import XMLNode, XMLTree, build_tree, encode_tree
 
 from conftest import random_tree
+
+
+def _round_trip(root):
+    """Encode ``root``'s tree, serialize the subtree and decode it."""
+    document = encode_tree(XMLTree(root))
+    data = encode_fragment(root, document.schema)
+    again, components, offset = decode_fragment(data)
+    assert components == {}  # no deletes, so no stored component
+    assert offset == len(data)
+    return again
 
 
 class TestVarint:
@@ -69,27 +79,25 @@ class TestFragmentSerialization:
         tree = build_tree(("a", [("b", ["c", "d"]), "e"]))
         tree.root.attributes["id"] = "1"
         tree.root.children[1].text = "some text"
-        data = encode_fragment(tree.root)
-        again, offset = decode_fragment(data)
-        assert offset == len(data)
+        again = _round_trip(tree.root)
         assert again.structurally_equal(tree.root)
 
     def test_roundtrip_preserves_sibling_order(self):
         root = XMLNode("r")
         for label in "cba":
             root.new_child(label)
-        again, _ = decode_fragment(encode_fragment(root))
+        again = _round_trip(root)
         assert [child.label for child in again.children] == list("cba")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip_random_trees(self, seed):
         tree = random_tree(random.Random(seed), max_nodes=40)
-        again, _ = decode_fragment(encode_fragment(tree.root))
+        again = _round_trip(tree.root)
         assert again.structurally_equal(tree.root)
 
     def test_unicode_and_escaping(self):
         node = XMLNode("α", text="ünïcode ✓", attributes={"k": "v&<>'\""})
-        again, _ = decode_fragment(encode_fragment(node))
+        again = _round_trip(node)
         assert again.structurally_equal(node)
 
 
@@ -218,17 +226,15 @@ class TestKVStore:
 
 class TestFragmentStore:
     def _entries(self, tree):
-        from repro.xmltree import encode_tree
-
         doc = encode_tree(tree)
         return [(node.dewey, node) for node in tree.iter_nodes()
                 if node.label == "b"], doc
 
     def test_materialize_and_read_back(self):
         tree = build_tree(("r", [("a", [("b", ["c"])]), ("b", ["d"])]))
-        entries, _doc = self._entries(tree)
+        entries, doc = self._entries(tree)
         store = FragmentStore()
-        assert store.materialize("v", entries)
+        assert store.materialize("v", entries, doc.schema)
         fragments = store.fragments("v")
         assert [f.code for f in fragments] == sorted(e[0] for e in entries)
         assert fragments[0].root.label == "b"
@@ -238,24 +244,25 @@ class TestFragmentStore:
 
     def test_cap_marks_view_unusable(self):
         tree = build_tree(("r", [("b", ["c"] * 50)]))
-        entries, _doc = self._entries(tree)
+        entries, doc = self._entries(tree)
         store = FragmentStore(cap_bytes=10)
-        assert not store.materialize("big", entries)
+        assert not store.materialize("big", entries, doc.schema)
         assert store.is_capped("big")
         assert not store.is_materialized("big")
         assert store.fragments("big") == []
 
     def test_duplicate_view_rejected(self):
+        schema = encode_tree(build_tree(("r", []))).schema
         store = FragmentStore()
-        store.materialize("v", [])
+        store.materialize("v", [], schema)
         with pytest.raises(StorageError):
-            store.materialize("v", [])
+            store.materialize("v", [], schema)
 
     def test_drop(self):
         tree = build_tree(("r", [("b", ["c"])]))
-        entries, _doc = self._entries(tree)
+        entries, doc = self._entries(tree)
         store = FragmentStore()
-        store.materialize("v", entries)
+        store.materialize("v", entries, doc.schema)
         store.drop("v")
         assert store.fragments("v") == []
         assert store.view_ids() == []
@@ -266,27 +273,27 @@ class TestFragmentStore:
         # (store or mark-capped) must drop the view's warm-cache entry,
         # not rely on every caller routing through drop() first.
         tree = build_tree(("r", [("b", ["c"])]))
-        entries, _doc = self._entries(tree)
+        entries, doc = self._entries(tree)
         store = FragmentStore()
         sentinel = object()
         store._cache["v"] = [sentinel]
-        store.materialize("v", entries)
+        store.materialize("v", entries, doc.schema)
         fragments = store.fragments("v")
         assert sentinel not in fragments
         assert [f.code for f in fragments] == [e[0] for e in entries]
 
         capped = FragmentStore(cap_bytes=1)
         capped._cache["big"] = [sentinel]
-        assert not capped.materialize("big", entries)
+        assert not capped.materialize("big", entries, doc.schema)
         assert capped.fragments("big") == []
 
     def test_persistence_across_reopen(self, tmp_path):
         path = str(tmp_path / "frags")
         tree = build_tree(("r", [("b", ["c"]), ("b", [])]))
-        entries, _doc = self._entries(tree)
+        entries, doc = self._entries(tree)
         with KVStore(path) as kv:
             store = FragmentStore(kv)
-            store.materialize("v", entries)
+            store.materialize("v", entries, doc.schema)
         with KVStore(path) as kv:
             store = FragmentStore(kv)
             assert store.is_materialized("v")
@@ -295,16 +302,14 @@ class TestFragmentStore:
 
     def test_codes_sorted(self):
         tree = build_tree(("r", [("b", []), ("a", [("b", [])])]))
-        from repro.xmltree import encode_tree
-
-        encode_tree(tree)
+        doc = encode_tree(tree)
         entries = [
             (node.dewey, node)
             for node in reversed(list(tree.iter_nodes()))
             if node.label == "b"
         ]
         store = FragmentStore()
-        store.materialize("v", entries)
+        store.materialize("v", entries, doc.schema)
         codes = store.codes("v")
         assert codes == sorted(codes)
 

@@ -25,7 +25,9 @@ def _setup(spec, view_defs, query_expr):
     for view_id, expression in view_defs.items():
         view = View.from_xpath(view_id, expression)
         answers = evaluate(view.pattern, doc.tree)
-        store.materialize(view_id, [(n.dewey, n) for n in answers])
+        store.materialize(
+            view_id, [(n.dewey, n) for n in answers], doc.schema
+        )
         units = coverage_units(view, query)
         assert units, (view_id, expression)
         for unit in units:
@@ -144,7 +146,7 @@ class TestJoinAgainstTruth:
         store = FragmentStore()
         view = View("V", query.copy())
         answers = evaluate(view.pattern, tree)
-        store.materialize("V", [(n.dewey, n) for n in answers])
+        store.materialize("V", [(n.dewey, n) for n in answers], doc.schema)
         units = [
             unit
             for unit in coverage_units(view, query)
